@@ -101,12 +101,6 @@ class TwinPartition:
     def representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.classes)
 
-    def class_index_of(self, v: int) -> int:
-        for i, c in enumerate(self.classes):
-            if v in c:
-                return i
-        raise ValueError(f"vertex {v} not in partition")
-
     def is_discrete(self) -> bool:
         """True when every class is a singleton."""
         return all(len(c) == 1 for c in self.classes)
@@ -116,13 +110,11 @@ class TwinPartition:
 class QuotientResult:
     """Quotient graph together with the relabeling that produced it.
 
-    ``class_to_new[i]`` is the quotient vertex standing for class ``i``
-    of the input partition; ``vertex_to_new`` maps every original vertex
-    to its quotient vertex.
+    Quotient vertex ``i`` stands for class ``i`` of the input partition;
+    ``vertex_to_new`` maps every original vertex to its quotient vertex.
     """
 
     graph: Graph
-    class_to_new: tuple[int, ...]
     vertex_to_new: dict[int, int]
 
 
@@ -238,7 +230,7 @@ def quotient(g: Graph, p: TwinPartition) -> QuotientResult:
     edges = [(new_id[u], new_id[v]) for u, v in g.edges
              if u in new_id and v in new_id]
     qg = from_edge_list(len(reps), edges)
-    return QuotientResult(qg, tuple(range(len(reps))), vertex_to_new)
+    return QuotientResult(qg, vertex_to_new)
 
 
 def directed_twin_partition(d: OrientedGraph) -> TwinPartition:

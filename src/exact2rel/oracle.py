@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable
+from typing import Callable, Iterator
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
@@ -257,10 +257,9 @@ def mask_to_graph(n: int, mask: int) -> Graph:
     return from_edge_list(n, edges)
 
 
-def canonical_mask_of(mask: int, n: int) -> int:
-    """Smallest pair-mask over all vertex relabelings."""
-    best = None
-    for remap in _pair_maps(n):
+def _images(mask: int, remaps: list[list[int]]) -> Iterator[int]:
+    """The image of ``mask`` under each bit remap, in order."""
+    for remap in remaps:
         x = 0
         m = mask
         p = 0
@@ -269,9 +268,12 @@ def canonical_mask_of(mask: int, n: int) -> int:
                 x |= 1 << remap[p]
             m >>= 1
             p += 1
-        if best is None or x < best:
-            best = x
-    return best
+        yield x
+
+
+def canonical_mask_of(mask: int, n: int) -> int:
+    """Smallest pair-mask over all vertex relabelings."""
+    return min(_images(mask, _pair_maps(n)))
 
 
 def canonical_mask(g: Graph) -> int:
@@ -292,19 +294,7 @@ def mask_to_oriented(n: int, mask: int) -> OrientedGraph:
 
 
 def canonical_arc_mask_of(mask: int, n: int) -> int:
-    best = None
-    for remap in _arc_maps(n):
-        x = 0
-        m = mask
-        p = 0
-        while m:
-            if m & 1:
-                x |= 1 << remap[p]
-            m >>= 1
-            p += 1
-        if best is None or x < best:
-            best = x
-    return best
+    return min(_images(mask, _arc_maps(n)))
 
 
 def canonical_arc_mask(d: OrientedGraph) -> int:
@@ -319,17 +309,7 @@ def all_graph_classes(n: int) -> list[int]:
     for mask in range(1 << n_pairs):
         if mask in seen:
             continue
-        orbit = set()
-        for remap in _pair_maps(n):
-            x = 0
-            m = mask
-            p = 0
-            while m:
-                if m & 1:
-                    x |= 1 << remap[p]
-                m >>= 1
-                p += 1
-            orbit.add(x)
+        orbit = set(_images(mask, _pair_maps(n)))
         seen |= orbit
         out.append(min(orbit))
     return sorted(out)
@@ -344,17 +324,7 @@ def all_oriented_classes(n: int) -> list[int]:
     def assignments(i: int, mask: int) -> None:
         if i == len(pairs):
             if mask not in seen:
-                orbit = set()
-                for remap in _arc_maps(n):
-                    x = 0
-                    m = mask
-                    p = 0
-                    while m:
-                        if m & 1:
-                            x |= 1 << remap[p]
-                        m >>= 1
-                        p += 1
-                    orbit.add(x)
+                orbit = set(_images(mask, _arc_maps(n)))
                 seen.update(orbit)
                 out.append(min(orbit))
             return

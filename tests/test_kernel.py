@@ -1,86 +1,102 @@
-"""The compiled kernel and its pure-Python twin must agree bit-for-bit."""
+"""The enumeration kernels agree with the tree-level definitions.
 
-import os
-import subprocess
-import sys
+The kernels sum weights over flat edge-index lists.  The references here
+build every weighted tree of a shape and ask ``explain`` (or
+``directed_explain`` at every root placement) for its relation, so they
+share no code with the kernel loops.  Each shape is walked once with
+free weights; the canonical and zero-discrete configurations are
+filters of that walk, which keep its order.
+"""
+
+from itertools import product
 
 import pytest
 
-from exact2rel import _kernel, _speedups_py
-from exact2rel.oracle import _prepare, enumerate_topologies
+from exact2rel._kernel import (enumerate_relation_masks,
+                               enumerate_rooted_arc_masks, matching_weightings)
+from exact2rel.oracle import (_prepare, _tree_with_weights,
+                              enumerate_topologies, graph_to_mask,
+                              oriented_to_mask)
+from exact2rel.rooted import RootedLabeledTree, directed_explain
+from exact2rel.trees import explain, is_zero_discrete
 
-compiled = pytest.importorskip("exact2rel._speedups")
 
-
-def shapes(max_leaves=5):
-    for n in range(2, max_leaves + 1):
+def shapes(leaves):
+    for n in leaves:
         for topo in enumerate_topologies(n):
             yield topo, _prepare(topo)
 
 
-def test_kernel_selection_honours_environment():
-    if os.environ.get("EXACT2REL_PURE") == "1":
-        assert not _kernel.USING_COMPILED
-    else:
-        assert _kernel.USING_COMPILED
+def walk(topo, shape, k, relation):
+    """(weights, zero-discrete?, relation) for every weighting with
+    weights 0..k+1, edge 0 varying fastest."""
+    n_edges = len(shape.edges)
+    for rev in product(range(k + 2), repeat=n_edges):
+        w = rev[::-1]
+        t = _tree_with_weights(topo, shape, w)
+        yield w, is_zero_discrete(t), relation(t)
 
 
-def test_pure_flag_forces_fallback():
-    env = dict(os.environ, EXACT2REL_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from exact2rel._kernel import USING_COMPILED; print(USING_COMPILED)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+def configurations(shape, walked):
+    """(min_w, zero_discrete, admitted part of the walk) per kernel
+    configuration."""
+    for min_w in (shape.min_w_canonical, shape.min_w_free):
+        for zero_discrete in (False, True):
+            yield min_w, zero_discrete, [
+                (w, rel) for w, zd, rel in walked
+                if (zd or not zero_discrete)
+                and all(x >= m for x, m in zip(w, min_w))]
+
+
+def rootings(t):
+    """The tree rooted at every interior vertex and at every integer
+    point of every edge, leaf ends included."""
+    edges = t.weighted_edges()
+    for v in t.interior_vertices():
+        yield RootedLabeledTree.build(t.nv, edges, t.names, root=v)
+    r = t.nv
+    for u, v, w in edges:
+        rest = [e for e in edges if e[:2] != (u, v)]
+        for a in range(w + 1):
+            yield RootedLabeledTree.build(
+                t.nv + 1, rest + [(u, r, a), (r, v, w - a)], t.names, root=r)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("zero_discrete", [False, True])
-def test_relation_masks_agree(k, zero_discrete):
-    for topo, sh in shapes(5):
-        for min_w in (sh.min_w_canonical, sh.min_w_free):
-            a = compiled.enumerate_relation_masks(
-                len(sh.paths), sh.paths, min_w, k + 1, k, zero_discrete)
-            b = _speedups_py.enumerate_relation_masks(
-                len(sh.paths), sh.paths, min_w, k + 1, k, zero_discrete)
-            assert a == b
+def test_relation_kernels_follow_explain(k):
+    for topo, sh in shapes(range(1, 5)):
+        n_pairs = len(sh.paths)
+        walked = list(walk(topo, sh, k,
+                           lambda t: graph_to_mask(explain(t, k))))
+        for min_w, zero_discrete, admitted in configurations(sh, walked):
+            by_mask: dict[int, list[tuple[int, ...]]] = {}
+            for w, mask in admitted:
+                by_mask.setdefault(mask, []).append(w)
+            assert enumerate_relation_masks(
+                n_pairs, sh.paths, min_w, k + 1, k,
+                zero_discrete) == set(by_mask)
+            # every target costs a full kernel pass: check the most and
+            # the least frequent relation, and one that never arises
+            targets = sorted(by_mask, key=lambda m: (len(by_mask[m]), m))
+            targets = targets[:1] + targets[-1:]
+            targets += [m for m in range(1 << n_pairs)
+                        if m not in by_mask][:1]
+            for target in targets:
+                assert matching_weightings(
+                    n_pairs, sh.paths, min_w, k + 1, k, zero_discrete,
+                    target) == by_mask.get(target, [])
 
 
-def test_matching_weightings_agree():
-    for topo, sh in shapes(4):
-        full = (1 << len(sh.paths)) - 1
-        for target in (0, full, full >> 1):
-            a = compiled.matching_weightings(
-                len(sh.paths), sh.paths, sh.min_w_canonical, 3, 2, False,
-                target)
-            b = _speedups_py.matching_weightings(
-                len(sh.paths), sh.paths, sh.min_w_canonical, 3, 2, False,
-                target)
-            assert sorted(a) == sorted(b)
-
-
-@pytest.mark.parametrize("zero_discrete", [False, True])
-def test_rooted_arc_masks_agree(zero_discrete):
-    for topo, sh in shapes(4):
-        n = topo.n_leaves
-        a = compiled.enumerate_rooted_arc_masks(
-            n, sh.pair_index, sh.paths, sh.min_w_canonical, 3, 2,
-            zero_discrete, True, sh.interior_roots, sh.edge_roots)
-        b = _speedups_py.enumerate_rooted_arc_masks(
-            n, sh.pair_index, sh.paths, sh.min_w_canonical, 3, 2,
-            zero_discrete, True, sh.interior_roots, sh.edge_roots)
-        assert a == b
-
-
-def test_rooted_arc_masks_agree_five_leaves_spot():
-    # the 5-leaf sweep is slower, so spot-check a handful of shapes
-    topos = enumerate_topologies(5)
-    for topo in topos[:6] + topos[-3:]:
-        sh = _prepare(topo)
-        a = compiled.enumerate_rooted_arc_masks(
-            5, sh.pair_index, sh.paths, sh.min_w_canonical, 3, 2,
-            False, True, sh.interior_roots, sh.edge_roots)
-        b = _speedups_py.enumerate_rooted_arc_masks(
-            5, sh.pair_index, sh.paths, sh.min_w_canonical, 3, 2,
-            False, True, sh.interior_roots, sh.edge_roots)
-        assert a == b
+# the reference roots every tree at up to ~20 places; at k = 3 on four
+# leaves that is over 10^5 rooted trees, so k = 3 stops at three leaves
+@pytest.mark.parametrize("k, max_leaves", [(1, 4), (2, 4), (3, 3)])
+def test_rooted_arc_masks_follow_directed_explain(k, max_leaves):
+    for topo, sh in shapes(range(2, max_leaves + 1)):
+        walked = list(walk(topo, sh, k, lambda t: {
+            oriented_to_mask(directed_explain(rt, k)) for rt in rootings(t)}))
+        for min_w, zero_discrete, admitted in configurations(sh, walked):
+            expected = set().union(*(masks for _, masks in admitted))
+            assert enumerate_rooted_arc_masks(
+                topo.n_leaves, sh.pair_index, sh.paths, min_w, k + 1, k,
+                zero_discrete, min_w is sh.min_w_canonical,
+                sh.interior_roots, sh.edge_roots) == expected
