@@ -14,8 +14,9 @@ from itertools import combinations
 
 from .graphs import (Graph, TwinPartition, block_decomposition,
                      connected_components, false_twin_partition,
-                     induced_subgraph, is_block_graph, quotient)
-from .trees import LabeledTree, canonicalize, leaf_distance_matrix
+                     induced_subgraph, quotient)
+from .trees import (LabeledTree, canonicalize, certify_relation,
+                    leaf_distance_matrix)
 
 
 @dataclass(frozen=True)
@@ -274,6 +275,9 @@ def verify(t: LabeledTree, g: Graph, k: int) -> VerificationResult:
 
     Tree leaves must be named "0" .. "n-1" matching the graph's
     vertices; otherwise the result reports the name mismatch and fails.
+    A linear-time counting certificate (``certify_relation``) decides;
+    only when it fails are all leaf pairs compared, to list the missing
+    and extra ones.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -282,16 +286,21 @@ def verify(t: LabeledTree, g: Graph, k: int) -> VerificationResult:
     if want != have:
         diff = tuple(sorted(want.symmetric_difference(have)))
         return VerificationResult(False, diff, (), ())
+    pairs = [(t.vertex_of(str(u)), t.vertex_of(str(v))) for u, v in g.edges]
+    if certify_relation(t, 0, pairs, k):
+        return VerificationResult(True, (), (), ())
     dm = leaf_distance_matrix(t)
+    ids = [int(s) for s in dm.names]
     missing = []
     extra = []
-    for a, b in combinations(dm.names, 2):
-        u, v = sorted((int(a), int(b)))
-        related = dm.get(a, b) == k
-        if related and not g.has_edge(u, v):
-            extra.append((u, v))
-        elif not related and g.has_edge(u, v):
-            missing.append((u, v))
+    for i, row in enumerate(dm.dist):
+        for j in range(i + 1, len(ids)):
+            u, v = sorted((ids[i], ids[j]))
+            related = row[j] == k
+            if related and not g.has_edge(u, v):
+                extra.append((u, v))
+            elif not related and g.has_edge(u, v):
+                missing.append((u, v))
     ok = not missing and not extra
     return VerificationResult(ok, (), tuple(sorted(missing)), tuple(sorted(extra)))
 
@@ -318,14 +327,11 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
     q = qres.graph
     reps = p.representatives
 
-    if not is_block_graph(q):
-        dec = block_decomposition(q)
-        for blk in dec.blocks:
-            vs = sorted(blk)
-            if any(not q.has_edge(u, v) for u, v in combinations(vs, 2)):
-                cert = tuple(sorted(reps[v] for v in vs))
-                return RecognitionOutcome(False, None, cert)
-        raise AssertionError("unreachable: non-block-graph without bad block")
+    for blk in block_decomposition(q).blocks:
+        vs = sorted(blk)
+        if any(not q.has_edge(u, v) for u, v in combinations(vs, 2)):
+            cert = tuple(sorted(reps[v] for v in vs))
+            return RecognitionOutcome(False, None, cert)
 
     comps = connected_components(q)
     trees: list[LabeledTree] = []

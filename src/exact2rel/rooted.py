@@ -14,11 +14,13 @@ has a single child.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .graphs import (OrientedGraph, directed_quotient, directed_twin_partition,
                      find_cycle, from_arc_list, underlying_graph)
-from .trees import LabeledTree, canonicalize, is_canonical
+from .trees import (LabeledTree, canonicalize, certify_relation, is_canonical,
+                    lowest_common_ancestors, tree_layout)
 
 
 class RootedLabeledTree:
@@ -202,16 +204,14 @@ def directed_relation_pairs(t: RootedLabeledTree, k: int) -> set[tuple[str, str]
     down-weight(lca -> y) = k."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    order, parent, depth = tree_layout(t.adj, t.root)
+    pairs = list(combinations(t.names, 2))
     out = set()
-    names = t.leaf_names
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            x, y = t.vertex_of(a), t.vertex_of(b)
-            m = t.lca(x, y)
-            if t.up_weight(x, m) == 0 and t.up_weight(y, m) == k:
-                out.add((a, b))
+    for (x, y), m in zip(pairs, lowest_common_ancestors(order, parent, pairs)):
+        if depth[x] == depth[m] and depth[y] - depth[m] == k:
+            out.add((t.names[x], t.names[y]))
+        elif depth[y] == depth[m] and depth[x] - depth[m] == k:
+            out.add((t.names[y], t.names[x]))
     return out
 
 
@@ -444,8 +444,8 @@ def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
             edges.append((root, rc, 3))
 
     t = RootedLabeledTree.build(next_id[0], edges, names, root=root)
-    got = {(int(a), int(b)) for a, b in directed_relation_pairs(t, 2)}
-    if got != set(d.arcs):
+    arcs = [(t.vertex_of(str(x)), t.vertex_of(str(y))) for x, y in d.arcs]
+    if not certify_relation(t, t.root, arcs, 2, directed=True):
         raise AssertionError("internal error: constructed tree does not "
                              "reproduce the input relation")
     return t

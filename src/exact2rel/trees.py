@@ -172,6 +172,95 @@ def leaf_distance_matrix(t: LabeledTree) -> DistanceMatrix:
     return DistanceMatrix(tuple(names), tuple(rows))
 
 
+def tree_layout(adj: tuple[dict[int, int], ...],
+                root: int) -> tuple[list[int], list[int], list[int]]:
+    """Pre-order, parent (-1 at the root) and weighted depth of the tree
+    with adjacency ``adj`` hung from ``root``, from one explicit-stack
+    walk.  Every subtree is a contiguous run of the pre-order, so its
+    reverse is a post-order."""
+    parent = [-1] * len(adj)
+    depth = [0] * len(adj)
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u, w in adj[v].items():
+            if u != parent[v]:
+                parent[u] = v
+                depth[u] = depth[v] + w
+                stack.append(u)
+    return order, parent, depth
+
+
+def lowest_common_ancestors(order: list[int], parent: list[int],
+                            pairs: list[tuple[int, int]]) -> list[int]:
+    """The lowest common ancestor of each pair of distinct vertices, by
+    Tarjan's offline union-find method over the post-order (reversed
+    pre-order) of a ``tree_layout``."""
+    queries: list[list[tuple[int, int]]] = [[] for _ in parent]
+    for i, (a, b) in enumerate(pairs):
+        queries[a].append((b, i))
+        queries[b].append((a, i))
+    out = [-1] * len(pairs)
+    link = list(range(len(parent)))  # a finished vertex links to its parent
+    done = [False] * len(parent)
+    for x in reversed(order):
+        for y, i in queries[x]:
+            if done[y]:
+                # the nearest unfinished ancestor of y is lca(x, y)
+                while link[y] != y:
+                    link[y] = link[link[y]]
+                    y = link[y]
+                out[i] = y
+        done[x] = True
+        if parent[x] >= 0:
+            link[x] = parent[x]
+    return out
+
+
+def certify_relation(t, root: int, pairs: list[tuple[int, int]], k: int,
+                     directed: bool = False) -> bool:
+    """True when the leaf pairs ``pairs`` (vertex ids, distinct pairs)
+    are exactly the level-``k`` relation of ``t`` (a ``LabeledTree`` or
+    a rooted tree) hung from ``root``, in O(nv * min(k + 1, leaves) +
+    len(pairs)) steps up to the union-find's near-constant factor.
+
+    Undirected, a pair is related when its path weight is ``k``;
+    directed, (x, y) is related when x sits at weight 0 below their
+    lowest common ancestor and y at weight ``k``.  The certificate is
+    (i) every given pair is related, checked by one offline LCA pass,
+    and (ii) the number of related leaf pairs is ``len(pairs)``,
+    counted bottom-up from the leaves' relative depths 0..k below each
+    vertex.  Together they say the two relations are equal.
+    """
+    order, parent, depth = tree_layout(t.adj, root)
+    for (x, y), m in zip(pairs, lowest_common_ancestors(order, parent, pairs)):
+        if directed:
+            bad = depth[x] != depth[m] or depth[y] - depth[m] != k
+        else:
+            bad = depth[x] + depth[y] - 2 * depth[m] != k
+        if bad:
+            return False
+    related = 0
+    below: list[dict[int, int]] = [{} for _ in parent]  # relative depth -> leaves
+    for v in reversed(order):
+        acc = {0: 1} if v in t.names else {}
+        for c, w in t.adj[v].items():
+            if c == parent[v]:
+                continue
+            shifted = {d + w: n for d, n in below[c].items() if d + w <= k}
+            if directed:
+                related += (acc.get(0, 0) * shifted.get(k, 0)
+                            + acc.get(k, 0) * shifted.get(0, 0))
+            else:
+                related += sum(n * acc.get(k - d, 0) for d, n in shifted.items())
+            for d, n in shifted.items():
+                acc[d] = acc.get(d, 0) + n
+        below[v] = acc
+    return related == len(pairs)
+
+
 def explain(t: LabeledTree, k: int) -> Graph:
     """The graph whose vertices are the leaves (graph vertex ``i`` is the
     i-th leaf name in sorted order) and whose edges are the leaf pairs at

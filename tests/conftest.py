@@ -6,8 +6,9 @@ package against code with no shared logic.
 
 from itertools import combinations
 
-from exact2rel import (LabeledTree, enumerate_rooted, enumerate_topologies,
-                       format_rooted_newick, from_arc_list, from_edge_list)
+from exact2rel import (LabeledTree, VerificationResult, enumerate_rooted,
+                       enumerate_topologies, format_rooted_newick,
+                       from_arc_list, from_edge_list, leaf_distance_matrix)
 
 
 def all_labeled_graphs(n):
@@ -206,3 +207,42 @@ def naive_cut_vertices(g):
     base = ncomp(None)
     return {v for v in range(g.n)
             if g.degree(v) >= 1 and ncomp(v) > base}
+
+
+def reference_verify(t, g, k):
+    """``verify`` as an all-pairs comparison of path weights with the
+    graph's edges."""
+    want = {str(v) for v in range(g.n)}
+    have = set(t.names.values())
+    if want != have:
+        diff = tuple(sorted(want.symmetric_difference(have)))
+        return VerificationResult(False, diff, (), ())
+    dm = leaf_distance_matrix(t)
+    missing = []
+    extra = []
+    for a, b in combinations(dm.names, 2):
+        u, v = sorted((int(a), int(b)))
+        related = dm.get(a, b) == k
+        if related and not g.has_edge(u, v):
+            extra.append((u, v))
+        elif not related and g.has_edge(u, v):
+            missing.append((u, v))
+    ok = not missing and not extra
+    return VerificationResult(ok, (), tuple(sorted(missing)),
+                              tuple(sorted(extra)))
+
+
+def reference_directed_relation_pairs(t, k):
+    """``directed_relation_pairs`` pair by pair, through the rooted
+    tree's own ancestor queries."""
+    out = set()
+    names = t.leaf_names
+    for a in names:
+        for b in names:
+            if a == b:
+                continue
+            x, y = t.vertex_of(a), t.vertex_of(b)
+            m = t.lca(x, y)
+            if t.up_weight(x, m) == 0 and t.up_weight(y, m) == k:
+                out.add((a, b))
+    return out

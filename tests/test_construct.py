@@ -6,13 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (all_labeled_graphs, random_block_graph,
-                      random_false_twin_blowup, random_graph)
-from exact2rel import (EnumerationBudget, LabeledTree, blow_up, canonicalize,
-                       connected_components, construct_block_tree, explain,
+                      random_false_twin_blowup, random_graph, random_tree,
+                      reference_verify)
+from exact2rel import (EnumerationBudget, LabeledTree, VerificationResult,
+                       blow_up, canonicalize, connected_components,
+                       construct_block_tree, construct_oriented, explain,
                        explainable_set, false_twin_partition, format_newick,
-                       from_edge_list, induced_subgraph, is_canonical,
-                       is_zero_discrete, join_components, leaf_distance_matrix,
-                       parse_newick, quotient, recognize, verify)
+                       from_arc_list, from_edge_list, induced_subgraph,
+                       is_canonical, is_zero_discrete, join_components,
+                       leaf_distance_matrix, parse_newick, quotient, recognize,
+                       verify)
 
 
 def P(n, pairs):
@@ -197,3 +200,78 @@ def test_recognize_witness_is_least_weight_on_quotient_free_graphs():
     for a in range(5):
         for b in range(a + 1, 5):
             assert (dm.get(str(a), str(b)) == 2) == g.has_edge(a, b)
+
+
+def weight_nudges(t):
+    """``t`` with one edge weight moved by -1 or +1, for every edge."""
+    edges = t.weighted_edges()
+    for i, (u, v, w) in enumerate(edges):
+        for nudged in (w - 1, w + 1):
+            if nudged >= 0:
+                yield LabeledTree.build(
+                    t.nv, edges[:i] + [(u, v, nudged)] + edges[i + 1:],
+                    t.names)
+
+
+def test_verify_matches_all_pairs_on_small_witnesses():
+    failed = 0
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            out = recognize(g)
+            if not out.decision:
+                continue
+            assert verify(out.witness, g, 2).ok
+            for t in weight_nudges(out.witness):
+                got = verify(t, g, 2)
+                assert got == reference_verify(t, g, 2)
+                failed += not got.ok
+    assert failed > 1000
+
+
+@given(st.integers(1, 14), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_verify_matches_all_pairs_on_random_trees(nv, k, rng):
+    t = random_tree(rng, nv)
+    leaves = sorted(t.names)
+    rng.shuffle(leaves)
+    t = LabeledTree.build(t.nv, t.weighted_edges(),
+                          {v: str(i) for i, v in enumerate(leaves)})
+    dm = leaf_distance_matrix(t)
+    related = {tuple(sorted((int(a), int(b))))
+               for a, b in combinations(dm.names, 2) if dm.get(a, b) == k}
+    pairs = list(combinations(range(len(leaves)), 2))
+    graphs = [from_edge_list(len(leaves), related)]
+    if pairs:
+        flip = rng.choice(pairs)
+        graphs.append(from_edge_list(len(leaves), related ^ {flip}))
+    unrelated = sorted(set(pairs) - related)
+    if related and unrelated:
+        swap = {rng.choice(sorted(related)), rng.choice(unrelated)}
+        graphs.append(from_edge_list(len(leaves), related ^ swap))
+    for g in graphs:
+        assert verify(t, g, k) == reference_verify(t, g, k)
+
+
+def test_verify_lists_one_dropped_and_one_added_pair():
+    rng = random.Random(1000)
+    g = random_block_graph(rng, 1000)
+    t = recognize(g).witness
+    dropped = rng.choice(sorted(g.edges))
+    while True:
+        added = tuple(sorted(rng.sample(range(g.n), 2)))
+        if added not in g.edges:
+            break
+    h = from_edge_list(g.n, (g.edges - {dropped}) | {added})
+    assert verify(t, h, 2) == VerificationResult(False, (), (added,),
+                                                 (dropped,))
+
+
+def test_yes_paths_skip_the_all_pairs_comparison(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("all-pairs comparison on a yes path")
+
+    monkeypatch.setattr("exact2rel.construct.leaf_distance_matrix", refuse)
+    monkeypatch.setattr("exact2rel.rooted.directed_relation_pairs", refuse)
+    g = random_block_graph(random.Random(7), 10_000)
+    assert recognize(g).decision
+    path = from_arc_list(10_000, [(v, v + 1) for v in range(9_999)])
+    assert construct_oriented(path).n_leaves == 10_000

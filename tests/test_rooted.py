@@ -1,16 +1,23 @@
 import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import (random_arborescence_forest, random_canonical_tree,
-                      random_directed_twin_blowup, random_rooted_tree)
+from conftest import (all_labeled_oriented, random_arborescence_forest,
+                      random_canonical_tree, random_directed_twin_blowup,
+                      random_rooted_tree, random_tree,
+                      reference_directed_relation_pairs)
 from exact2rel import (LabeledTree, RootedLabeledTree, brute_force_rootings,
                        canonicalize, construct_oriented, directed_explain,
                        directed_relation_pairs, directed_twin_partition,
-                       enumerate_rooted, format_rooted_newick, from_arc_list,
+                       enumerate_rooted, enumerate_topologies,
+                       format_rooted_newick, from_arc_list,
                        is_canonical_rooted, is_zero_discrete, parse_newick,
                        parse_rooted_newick, recognize_oriented,
                        underlying_tree)
+from exact2rel.trees import certify_relation
 
 
 def test_build_rejects_named_root():
@@ -196,3 +203,65 @@ def test_construct_oriented_twin_free_is_zero_discrete():
             continue
         t = underlying_tree(construct_oriented(d))
         assert is_zero_discrete(t)
+
+
+def test_directed_relation_pairs_match_reference_on_small_rootings():
+    for n in range(2, 5):
+        for topo in enumerate_topologies(n):
+            edges = topo.weighted_edges()
+            lows = [int(u not in topo.names and v not in topo.names)
+                    for u, v, _ in edges]
+            for ws in product(range(3), repeat=len(edges)):
+                if any(w < lo for w, lo in zip(ws, lows)):
+                    continue
+                t = LabeledTree.build(
+                    topo.nv, [(u, v, w) for (u, v, _), w in zip(edges, ws)],
+                    topo.names)
+                for rt in enumerate_rooted(t):
+                    for k in (1, 2, 3):
+                        assert (directed_relation_pairs(rt, k)
+                                == reference_directed_relation_pairs(rt, k))
+
+
+def arcs_of(t, pairs):
+    return [(t.vertex_of(a), t.vertex_of(b)) for a, b in sorted(pairs)]
+
+
+@given(st.integers(3, 14), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_directed_certificate_matches_reference(nv, k, rng):
+    base = random_tree(rng, nv)
+    t = RootedLabeledTree.build(nv, base.weighted_edges(), base.names,
+                                root=rng.choice(base.interior_vertices()))
+    related = reference_directed_relation_pairs(t, k)
+    assert directed_relation_pairs(t, k) == related
+    arcs = arcs_of(t, related)
+    assert certify_relation(t, t.root, arcs, k, directed=True)
+    unrelated = sorted(set(permutations(t.leaf_names, 2)) - related)
+    added = arcs_of(t, [rng.choice(unrelated)]) if unrelated else []
+    if arcs:
+        i = rng.randrange(len(arcs))
+        for rest in (arcs[:i] + arcs[i + 1:], arcs[:i] + arcs[i + 1:] + added):
+            assert not certify_relation(t, t.root, rest, k, directed=True)
+    if added:
+        assert not certify_relation(t, t.root, arcs + added, k, directed=True)
+
+
+def test_construct_oriented_certificate_on_all_small_digraphs():
+    for n in range(1, 5):
+        for d in all_labeled_oriented(n):
+            if not recognize_oriented(d).decision:
+                continue
+            t = construct_oriented(d)
+            want = {(str(x), str(y)) for x, y in d.arcs}
+            assert reference_directed_relation_pairs(t, 2) == want
+            arcs = arcs_of(t, want)
+            others = arcs_of(t, set(permutations(map(str, range(n)), 2)) - want)
+            # drop an arc, add a non-arc, or swap one for the other
+            for i in range(len(arcs) + 1):
+                rest = arcs[:i] + arcs[i + 1:]
+                if i < len(arcs):
+                    assert not certify_relation(t, t.root, rest, 2,
+                                                directed=True)
+                for pair in others:
+                    assert not certify_relation(t, t.root, rest + [pair], 2,
+                                                directed=True)
