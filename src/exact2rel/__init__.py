@@ -21,8 +21,8 @@ from .newick import TreeFormatError, format_newick, parse_newick, \
 from .oracle import (CharacterizationReport, EnumerationBudget,
                      ExplainableSet, RootedExplainableSet, all_witnesses,
                      brute_force_rootings, check_characterization,
-                     count_topologies_reference, enumerate_topologies,
-                     explainable_set, format_report, rooted_explainable_set)
+                     enumerate_topologies, explainable_set, format_report,
+                     rooted_explainable_set)
 from .rooted import (OrientedOutcome, RootedLabeledTree, construct_oriented,
                      directed_explain, directed_relation_pairs,
                      enumerate_rooted, format_rooted_newick,

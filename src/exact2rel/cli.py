@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a yes-decision, 1 for a recognized
 negative (not realizable, verification mismatch, characterization
-discrepancy), 2 for malformed input or usage errors.
+discrepancy), 2 for malformed input or usage errors, 3 for an internal
+error (a bug: any other exception, such as a failed self-check).
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from pathlib import Path
 
 from . import dot, oracle
 from .construct import recognize, verify
-from .graphs import (GraphFormatError, directed_quotient,
-                     directed_twin_partition, false_twin_partition,
-                     format_graph, format_oriented, parse_graph,
-                     parse_oriented, quotient)
-from .newick import TreeFormatError, format_newick, parse_newick, \
-    parse_rooted_newick
+from .graphs import (directed_quotient, directed_twin_partition,
+                     false_twin_partition, format_graph, format_oriented,
+                     parse_graph, parse_oriented, quotient)
+from .newick import format_newick, parse_newick, parse_rooted_newick
 from .rooted import (construct_oriented, directed_explain, enumerate_rooted,
                      format_rooted_newick, recognize_oriented)
 from .trees import canonicalize, explain
@@ -207,12 +206,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TreeFormatError, GraphFormatError) as exc:
+    except (ValueError, OSError) as exc:  # format errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

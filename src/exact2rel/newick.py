@@ -15,19 +15,13 @@ Weights must be non-negative integers; anything else is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Mapping
 
-from .trees import LabeledTree
+from .trees import LabeledTree, fold_subtrees
 
 
 class TreeFormatError(ValueError):
     """Raised on malformed tree text; message carries line/column."""
-
-
-@dataclass
-class _Node:
-    children: list[tuple["_Node", int]] = field(default_factory=list)
-    name: str | None = None
 
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz"
@@ -84,48 +78,44 @@ class _Parser:
             raise self.error("weights must be non-negative")
         return value
 
-    def node(self) -> _Node:
-        n = _Node()
-        if self.peek() == "(":
-            self.take("(")
-            while True:
-                child = self.node()
-                w = self.weight()
-                n.children.append((child, w))
+    def parse(self) -> tuple[int, list[tuple[int, int, int]], dict[int, str],
+                             int, str | None]:
+        """Read the whole text with one explicit stack.  Returns the
+        vertex count (ids in pre-order), the edges ``(parent, child,
+        weight)`` in post-order, the names of the childless vertices,
+        and the top vertex's number of children and name."""
+        edges: list[tuple[int, int, int]] = []
+        names: dict[int, str] = {}
+        open_: list[list[int]] = []  # [id, children] awaiting their ')'
+        nv = 0
+        while True:
+            v = nv
+            nv += 1
+            if self.peek() == "(":
+                self.take("(")
+                open_.append([v, 0])
+                continue
+            name = self.name()
+            if name is None:
+                raise self.error("expected a leaf name or '('")
+            names[v] = name
+            kids = 0
+            while open_:  # v is complete: attach it, close what it ends
+                edges.append((open_[-1][0], v, self.weight()))
+                open_[-1][1] += 1
                 if self.peek() == ",":
                     self.take(",")
-                    continue
+                    break
+                self.take(")")
+                v, kids = open_.pop()
+                name = self.name()  # interior names are discarded
+            else:
                 break
-            self.take(")")
-        n.name = self.name()
-        if not n.children and n.name is None:
-            raise self.error("expected a leaf name or '('")
-        return n
-
-    def parse(self) -> _Node:
-        top = self.node()
         self.take(";")
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("trailing text after ';'")
-        return top
-
-
-# ======================================================================
-# Conversion to trees
-# ======================================================================
-
-def _collect(node: _Node, counter: list[int],
-             edges: list[tuple[int, int, int]], names: dict[int, str]) -> int:
-    vid = counter[0]
-    counter[0] += 1
-    if node.children:
-        for child, w in node.children:
-            cid = _collect(child, counter, edges, names)
-            edges.append((vid, cid, w))
-    else:
-        names[vid] = node.name  # childless nodes were checked to be named
-    return vid
+        return nv, edges, names, kids, name
 
 
 def parse_newick(text: str) -> LabeledTree:
@@ -135,16 +125,12 @@ def parse_newick(text: str) -> LabeledTree:
         TreeFormatError: syntax errors (with position), duplicate leaf
             names, or an unnamed leaf.
     """
-    top = _Parser(text).parse()
-    counter = [0]
-    edges: list[tuple[int, int, int]] = []
-    names: dict[int, str] = {}
-    _collect(top, counter, edges, names)
+    nv, edges, names, kids, name = _Parser(text).parse()
     # the anchor: with one child and a name it is a leaf itself
-    if len(top.children) == 1 and top.name is not None:
-        names[0] = top.name
+    if kids == 1 and name is not None:
+        names[0] = name
     try:
-        return LabeledTree.build(counter[0], edges, names)
+        return LabeledTree.build(nv, edges, names)
     except ValueError as exc:
         raise TreeFormatError(str(exc)) from None
 
@@ -157,16 +143,12 @@ def parse_rooted_newick(text: str):
     """
     from .rooted import RootedLabeledTree
 
-    top = _Parser(text).parse()
-    if not top.children:
+    nv, edges, names, kids, _ = _Parser(text).parse()
+    if kids == 0:
         raise TreeFormatError(
             "a rooted tree needs '(...)' around the root's children")
-    counter = [0]
-    edges: list[tuple[int, int, int]] = []
-    names: dict[int, str] = {}
-    _collect(top, counter, edges, names)
     try:
-        return RootedLabeledTree.build(counter[0], edges, names, root=0)
+        return RootedLabeledTree.build(nv, edges, names, root=0)
     except ValueError as exc:
         raise TreeFormatError(str(exc)) from None
 
@@ -175,19 +157,14 @@ def parse_rooted_newick(text: str):
 # Writing
 # ======================================================================
 
-def _subtree_text(t: LabeledTree, v: int, parent: int | None) -> tuple[str, str]:
-    """Returns (min-leaf-name, text) for the subtree at v away from parent."""
-    if v in t.names:
-        return t.names[v], t.names[v]
-    parts = []
-    for u, w in t.adj[v].items():
-        if u == parent:
-            continue
-        key, text = _subtree_text(t, u, v)
-        parts.append((key, w, text))
-    parts.sort()
-    inner = ",".join(f"{text}:{w}" for _, w, text in parts)
-    return parts[0][0], f"({inner})"
+def subtree_text(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
+                 top: int) -> str:
+    """Text of the tree hung from ``top``, children sorted by smallest
+    leaf name (then weight and text); no trailing ';'."""
+    return fold_subtrees(
+        adj, names, top, str,
+        lambda entries: "(" + ",".join(f"{text}:{w}"
+                                       for _, w, text in entries) + ")")
 
 
 def format_newick(t: LabeledTree) -> str:
@@ -199,8 +176,5 @@ def format_newick(t: LabeledTree) -> str:
         a, b = t.leaf_names
         w = t.adj[t.vertex_of(a)][t.vertex_of(b)]
         return f"({b}:{w}){a};"
-    first = t.leaf_names[0]
-    lv = t.vertex_of(first)
-    (anchor,) = t.adj[lv].keys()
-    _, text = _subtree_text(t, anchor, None)
-    return f"{text};"
+    (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
+    return f"{subtree_text(t.adj, t.names, anchor)};"

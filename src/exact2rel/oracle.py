@@ -11,10 +11,9 @@ is a minimum over all vertex permutations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
@@ -101,34 +100,6 @@ def enumerate_topologies(n: int) -> list[LabeledTree]:
         result = [seen[key] for key in sorted(seen)]
     _TOPO_CACHE[n] = result
     return list(result)
-
-
-def count_topologies_reference(n: int) -> int:
-    """Leaf-labeled shape count by an independent recurrence (for
-    cross-checking ``enumerate_topologies``)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n <= 2:
-        return 1
-
-    # Suppressing one distinguished leaf turns an unrooted shape on n
-    # leaves into a rooted shape on n - 1 leaves, so count those.  A
-    # forest groups labeled leaves into rooted shapes; splitting off the
-    # component holding the lowest label gives the convolution below,
-    # and a one-component forest is itself a rooted shape, which is why
-    # the forest count is exactly twice the rooted count.
-    m = n - 1
-    rooted = [0] * (m + 1)
-    forests = [0] * (m + 1)
-    rooted[1] = 1
-    forests[0] = forests[1] = 1
-    for j in range(2, m + 1):
-        rooted[j] = sum(
-            math.comb(j - 1, s - 1) * rooted[s] * forests[j - s]
-            for s in range(1, j)
-        )
-        forests[j] = 2 * rooted[j]
-    return rooted[m]
 
 
 # ======================================================================
@@ -375,8 +346,7 @@ class RootedExplainableSet:
         return [mask_to_oriented(n, m) for m in sorted(self.masks[n])]
 
 
-def explainable_set(budget: EnumerationBudget, k: int,
-                    progress: Callable[[str], None] | None = None) -> ExplainableSet:
+def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
     """Every graph realizable as a level-``k`` relation within budget,
     one canonical mask per isomorphism class, keyed by leaf count."""
     budget.validate()
@@ -386,15 +356,13 @@ def explainable_set(budget: EnumerationBudget, k: int,
     out: dict[int, frozenset[int]] = {}
     for n in range(1, budget.max_leaves + 1):
         acc: set[int] = set()
-        for ti, topo in enumerate(enumerate_topologies(n)):
+        for topo in enumerate_topologies(n):
             shape = _prepare(topo)
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
             acc |= enumerate_relation_masks(
                 len(shape.paths), shape.paths, min_w, W, k,
                 budget.zero_discrete_only)
-            if progress is not None:
-                progress(f"n={n} shape {ti + 1}")
         out[n] = frozenset(canonical_mask_of(m, n) for m in acc)
     return ExplainableSet(k, budget, out)
 
@@ -424,9 +392,8 @@ def all_witnesses(g: Graph, budget: EnumerationBudget, k: int) -> list[LabeledTr
     return [found[key] for key in sorted(found)]
 
 
-def rooted_explainable_set(budget: EnumerationBudget, k: int,
-                           progress: Callable[[str], None] | None = None
-                           ) -> RootedExplainableSet:
+def rooted_explainable_set(budget: EnumerationBudget,
+                           k: int) -> RootedExplainableSet:
     """Every oriented graph realizable as a level-``k`` directed relation
     of a rooted tree within budget.
 
@@ -445,7 +412,7 @@ def rooted_explainable_set(budget: EnumerationBudget, k: int,
             out[1] = frozenset({0})
             continue
         acc: set[int] = set()
-        for ti, topo in enumerate(enumerate_topologies(n)):
+        for topo in enumerate_topologies(n):
             shape = _prepare(topo)
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
@@ -453,8 +420,6 @@ def rooted_explainable_set(budget: EnumerationBudget, k: int,
                 n, shape.pair_index, shape.paths, min_w, W, k,
                 budget.zero_discrete_only, budget.canonical_only,
                 shape.interior_roots, shape.edge_roots)
-            if progress is not None:
-                progress(f"rooted n={n} shape {ti + 1}")
         out[n] = frozenset(canonical_arc_mask_of(m, n) for m in acc)
     return RootedExplainableSet(k, budget, out)
 

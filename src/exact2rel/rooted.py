@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .graphs import (OrientedGraph, directed_quotient, directed_twin_partition,
-                     find_cycle, from_arc_list, underlying_graph)
-from .trees import (LabeledTree, canonicalize, certify_relation, is_canonical,
-                    lowest_common_ancestors, tree_layout)
+from .graphs import (OrientedGraph, TwinPartition, connected_components,
+                     directed_quotient, directed_twin_partition, find_cycle,
+                     from_arc_list, underlying_graph)
+from .newick import subtree_text
+from .trees import (LabeledTree, certify_relation, is_canonical,
+                    lowest_common_ancestors, subtree_key, tree_layout)
 
 
 class RootedLabeledTree:
@@ -142,27 +144,10 @@ class RootedLabeledTree:
 # Canonical form, canonicity, serialization
 # ======================================================================
 
-def _rserialize(t: RootedLabeledTree, v: int) -> tuple:
-    if v in t.names:
-        return ("L", t.names[v])
-    entries = []
-    for u in t.children(v):
-        sub = _rserialize(t, u)
-        entries.append((_rmin_leaf(sub), t.adj[v][u], sub))
-    entries.sort()
-    return ("I", tuple(entries))
-
-
-def _rmin_leaf(serial: tuple) -> str:
-    if serial[0] == "L":
-        return serial[1]
-    return min(e[0] for e in serial[1])
-
-
 def rooted_canonical_form(t: RootedLabeledTree) -> tuple:
     """Hashable form; equal exactly for trees with the same root
     position, shape, weights, and leaf names."""
-    return ("R", _rserialize(t, t.root))
+    return ("R", subtree_key(t.adj, t.names, t.root))
 
 
 def is_canonical_rooted(t: RootedLabeledTree) -> bool:
@@ -180,19 +165,7 @@ def is_canonical_rooted(t: RootedLabeledTree) -> bool:
 
 def format_rooted_newick(t: RootedLabeledTree) -> str:
     """Serialize; the written top-level node is the root."""
-    def sub(v: int) -> tuple[str, str]:
-        if v in t.names:
-            return t.names[v], t.names[v]
-        parts = []
-        for u in t.children(v):
-            key, text = sub(u)
-            parts.append((key, t.adj[v][u], text))
-        parts.sort()
-        inner = ",".join(f"{text}:{w}" for _, w, text in parts)
-        return parts[0][0], f"({inner})"
-
-    _, text = sub(t.root)
-    return f"{text};"
+    return f"{subtree_text(t.adj, t.names, t.root)};"
 
 
 # ======================================================================
@@ -337,18 +310,29 @@ def recognize_oriented(d: OrientedGraph) -> OrientedOutcome:
     arc and is produced by a root with children a, b at weight 0 and
     c, d at weight 2.
     """
+    return _decide(d)[0]
+
+
+def _decide(d: OrientedGraph
+            ) -> tuple[OrientedOutcome, TwinPartition, OrientedGraph]:
+    """``recognize_oriented``'s outcome, with the directed twin partition
+    and the quotient it was read from."""
     p = directed_twin_partition(d)
     q, _ = directed_quotient(d, p)
     reps = p.representatives
+    outcome = OrientedOutcome(True, None, "")
     cyc = find_cycle(underlying_graph(q))
     if cyc is not None:
-        return OrientedOutcome(False, tuple(sorted(reps[v] for v in cyc)),
-                               "cycle")
-    for z in range(q.n):
-        if len(q.in_adj[z]) >= 2:
-            x, y = sorted(q.in_adj[z])[:2]
-            return OrientedOutcome(False, (reps[x], reps[y], reps[z]), "in-star")
-    return OrientedOutcome(True, None, "")
+        outcome = OrientedOutcome(False, tuple(sorted(reps[v] for v in cyc)),
+                                  "cycle")
+    else:
+        for z in range(q.n):
+            if len(q.in_adj[z]) >= 2:
+                x, y = sorted(q.in_adj[z])[:2]
+                outcome = OrientedOutcome(False, (reps[x], reps[y], reps[z]),
+                                          "in-star")
+                break
+    return outcome, p, q
 
 
 def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
@@ -366,32 +350,13 @@ def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
     Raises:
         ValueError: when recognition refuses ``d``.
     """
-    outcome = recognize_oriented(d)
+    outcome, p, q = _decide(d)
     if not outcome.decision:
         raise ValueError(f"not explainable ({outcome.reason}): "
                          f"certificate {outcome.certificate}")
-    p = directed_twin_partition(d)
-    q, _ = directed_quotient(d, p)
-    members = {i: cls for i, cls in enumerate(p.classes)}
-
+    members = p.classes  # by quotient vertex
     # quotient components, by smallest quotient vertex
-    uq = underlying_graph(q)
-    seen = [False] * q.n
-    comps: list[list[int]] = []
-    for s in range(q.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in uq.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
+    comps = [sorted(c) for c in connected_components(underlying_graph(q))]
 
     edges: list[tuple[int, int, int]] = []
     names: dict[int, str] = {}

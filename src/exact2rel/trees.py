@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .graphs import Graph, from_edge_list
+
+T = TypeVar("T")
 
 
 class LabeledTree:
@@ -148,26 +150,13 @@ class DistanceMatrix:
 # Distances and the explained graph
 # ======================================================================
 
-def _distances_from(t: LabeledTree, src: int) -> list[int]:
-    dist = [-1] * t.nv
-    dist[src] = 0
-    stack = [src]
-    while stack:
-        x = stack.pop()
-        for y, w in t.adj[x].items():
-            if dist[y] < 0:
-                dist[y] = dist[x] + w
-                stack.append(y)
-    return dist
-
-
 def leaf_distance_matrix(t: LabeledTree) -> DistanceMatrix:
     """Path-weight sums between all leaf pairs."""
     names = t.leaf_names
     verts = [t.vertex_of(s) for s in names]
     rows = []
     for v in verts:
-        dv = _distances_from(t, v)
+        _, _, dv = tree_layout(t.adj, v)
         rows.append(tuple(dv[u] for u in verts))
     return DistanceMatrix(tuple(names), tuple(rows))
 
@@ -191,6 +180,38 @@ def tree_layout(adj: tuple[dict[int, int], ...],
                 depth[u] = depth[v] + w
                 stack.append(u)
     return order, parent, depth
+
+
+def fold_subtrees(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
+                  top: int, leaf: Callable[[str], T],
+                  join: Callable[[list[tuple[str, int, T]]], T]) -> T:
+    """Build a form of every subtree of the tree hung from ``top``,
+    children before parents, in one pass over the reversed pre-order of
+    ``tree_layout``, so any depth works.  A named vertex's form is
+    ``leaf(name)``; any other vertex's form is ``join(entries)``, where
+    ``entries`` holds ``(smallest leaf name, edge weight, child form)``
+    for each child, sorted.  Returns the form of ``top``."""
+    order, parent, _ = tree_layout(adj, top)
+    smallest: dict[int, str] = {}
+    form: dict[int, T] = {}
+    for v in reversed(order):
+        if v in names:
+            smallest[v] = names[v]
+            form[v] = leaf(names[v])
+            continue
+        entries = sorted((smallest.pop(c), w, form.pop(c))
+                         for c, w in adj[v].items() if c != parent[v])
+        smallest[v] = entries[0][0]
+        form[v] = join(entries)
+    return form[top]
+
+
+def subtree_key(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
+                top: int) -> tuple:
+    """The hashable form of the tree hung from ``top``: ``("L", name)``
+    for a leaf, ``("I", entries)`` for any other vertex."""
+    return fold_subtrees(adj, names, top, lambda s: ("L", s),
+                         lambda entries: ("I", tuple(entries)))
 
 
 def lowest_common_ancestors(order: list[int], parent: list[int],
@@ -315,40 +336,34 @@ def canonicalize(t: LabeledTree) -> LabeledTree:
     adj: dict[int, dict[int, int]] = {v: dict(t.adj[v]) for v in range(t.nv)}
     names = dict(t.names)
 
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in names:
-                continue
-            nbrs = adj[v]
-            if len(nbrs) == 2:
-                (a, wa), (b, wb) = nbrs.items()
-                del adj[v]
-                del adj[a][v]
-                del adj[b][v]
-                adj[a][b] = wa + wb
-                adj[b][a] = wa + wb
-                changed = True
-                break
-            if len(nbrs) >= 3:
-                # look for a 0-edge to another interior vertex
-                target = None
-                for u, w in nbrs.items():
-                    if w == 0 and u not in names:
-                        target = u
-                        break
-                if target is not None:
-                    # merge v into target
-                    del adj[target][v]
-                    del adj[v][target]
-                    for u, w in adj[v].items():
-                        del adj[u][v]
-                        adj[u][target] = w
-                        adj[target][u] = w
-                    del adj[v]
-                    changed = True
-                    break
+    # One pass in id order.  A vertex is due when it has degree 2 or a
+    # 0-edge to an interior neighbour.  No reduction makes a vertex due
+    # that was not due before (a new interior 0-edge replaces one to the
+    # removed vertex), so each step reduces the smallest due vertex and
+    # the surviving ids do not depend on anything but the input.
+    for v in range(t.nv):
+        if v in names or v not in adj:
+            continue
+        nbrs = adj[v]
+        if len(nbrs) == 2:
+            (a, wa), (b, wb) = nbrs.items()
+            del adj[v]
+            del adj[a][v]
+            del adj[b][v]
+            adj[a][b] = wa + wb
+            adj[b][a] = wa + wb
+            continue
+        # merge v into its first interior neighbour across a 0-edge
+        target = next((u for u, w in nbrs.items()
+                       if w == 0 and u not in names), None)
+        if target is not None:
+            del adj[target][v]
+            del adj[v][target]
+            for u, w in adj[v].items():
+                del adj[u][v]
+                adj[u][target] = w
+                adj[target][u] = w
+            del adj[v]
     return _compact(adj, names)
 
 
@@ -433,25 +448,6 @@ def is_zero_discrete(t: LabeledTree) -> bool:
 # Canonical form (leaf-labeled equality with weights)
 # ======================================================================
 
-def _serialize(t: LabeledTree, v: int, parent: int | None) -> tuple:
-    if v in t.names:
-        return ("L", t.names[v])
-    entries = []
-    for u, w in t.adj[v].items():
-        if u == parent:
-            continue
-        sub = _serialize(t, u, v)
-        entries.append((_min_leaf(sub), w, sub))
-    entries.sort()
-    return ("I", tuple(entries))
-
-
-def _min_leaf(serial: tuple) -> str:
-    if serial[0] == "L":
-        return serial[1]
-    return min(e[0] for e in serial[1])
-
-
 def canonical_form(t: LabeledTree) -> tuple:
     """A hashable form equal across trees that differ only in internal
     vertex numbering.  Two trees are considered the same when they have
@@ -462,13 +458,6 @@ def canonical_form(t: LabeledTree) -> tuple:
         a, b = sorted(t.names.values())
         (w,) = [w for _, _, w in t.weighted_edges()]
         return ("E", a, b, w)
-    first = t.leaf_names[0]
-    lv = t.vertex_of(first)
-    if len(t.adj[lv]) == 0:
-        raise AssertionError("unreachable: single leaf handled above")
-    (anchor,) = t.adj[lv].keys()
-    if anchor in t.names:
-        # two named vertices joined by an edge but nv > 2 cannot happen in
-        # a valid tree; anchor is interior here
-        raise AssertionError("unreachable")
-    return ("T", _serialize(t, anchor, None))
+    # with nv > 2 the smallest leaf's one neighbour is interior
+    (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
+    return ("T", subtree_key(t.adj, t.names, anchor))

@@ -4,11 +4,15 @@ Everything here is deliberately naive: the point is to cross-check the
 package against code with no shared logic.
 """
 
+import math
 from itertools import combinations
 
-from exact2rel import (LabeledTree, VerificationResult, enumerate_rooted,
+from exact2rel import (LabeledTree, RootedLabeledTree, TreeFormatError,
+                       VerificationResult, enumerate_rooted,
                        enumerate_topologies, format_rooted_newick,
                        from_arc_list, from_edge_list, leaf_distance_matrix)
+from exact2rel.newick import _Parser
+from exact2rel.trees import _compact
 
 
 def all_labeled_graphs(n):
@@ -246,3 +250,209 @@ def reference_directed_relation_pairs(t, k):
             if t.up_weight(x, m) == 0 and t.up_weight(y, m) == k:
                 out.add((a, b))
     return out
+
+
+def count_topologies_reference(n: int) -> int:
+    """Leaf-labeled shape count by an independent recurrence (for
+    cross-checking ``enumerate_topologies``)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n <= 2:
+        return 1
+
+    # Suppressing one distinguished leaf turns an unrooted shape on n
+    # leaves into a rooted shape on n - 1 leaves, so count those.  A
+    # forest groups labeled leaves into rooted shapes; splitting off the
+    # component holding the lowest label gives the convolution below,
+    # and a one-component forest is itself a rooted shape, which is why
+    # the forest count is exactly twice the rooted count.
+    m = n - 1
+    rooted = [0] * (m + 1)
+    forests = [0] * (m + 1)
+    rooted[1] = 1
+    forests[0] = forests[1] = 1
+    for j in range(2, m + 1):
+        rooted[j] = sum(
+            math.comb(j - 1, s - 1) * rooted[s] * forests[j - s]
+            for s in range(1, j)
+        )
+        forests[j] = 2 * rooted[j]
+    return rooted[m]
+
+
+def reference_canonicalize(t):
+    """``canonicalize`` as a rescan from the first vertex after every
+    smoothing or contraction."""
+    adj = {v: dict(t.adj[v]) for v in range(t.nv)}
+    names = dict(t.names)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in names:
+                continue
+            nbrs = adj[v]
+            if len(nbrs) == 2:
+                (a, wa), (b, wb) = nbrs.items()
+                del adj[v]
+                del adj[a][v]
+                del adj[b][v]
+                adj[a][b] = wa + wb
+                adj[b][a] = wa + wb
+                changed = True
+                break
+            if len(nbrs) >= 3:
+                target = None
+                for u, w in nbrs.items():
+                    if w == 0 and u not in names:
+                        target = u
+                        break
+                if target is not None:
+                    del adj[target][v]
+                    del adj[v][target]
+                    for u, w in adj[v].items():
+                        del adj[u][v]
+                        adj[u][target] = w
+                        adj[target][u] = w
+                    del adj[v]
+                    changed = True
+                    break
+    return _compact(adj, names)
+
+
+# Recursive serializers: one function per form, each walking the tree
+# from the top and sorting children by (smallest leaf, weight, form).
+
+def _serialize(t, v, parent):
+    if v in t.names:
+        return ("L", t.names[v])
+    entries = []
+    for u, w in t.adj[v].items():
+        if u == parent:
+            continue
+        sub = _serialize(t, u, v)
+        entries.append((_min_leaf(sub), w, sub))
+    entries.sort()
+    return ("I", tuple(entries))
+
+
+def _min_leaf(serial):
+    if serial[0] == "L":
+        return serial[1]
+    return min(e[0] for e in serial[1])
+
+
+def _subtree_text(t, v, parent):
+    if v in t.names:
+        return t.names[v], t.names[v]
+    parts = []
+    for u, w in t.adj[v].items():
+        if u == parent:
+            continue
+        key, text = _subtree_text(t, u, v)
+        parts.append((key, w, text))
+    parts.sort()
+    inner = ",".join(f"{text}:{w}" for _, w, text in parts)
+    return parts[0][0], f"({inner})"
+
+
+def _anchor(t):
+    (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])].keys()
+    return anchor
+
+
+def reference_canonical_form(t):
+    if t.n_leaves == 1:
+        return ("V", t.leaf_names[0])
+    if t.nv == 2:
+        a, b = sorted(t.names.values())
+        (w,) = [w for _, _, w in t.weighted_edges()]
+        return ("E", a, b, w)
+    return ("T", _serialize(t, _anchor(t), None))
+
+
+def reference_format_newick(t):
+    if t.n_leaves == 1:
+        return f"{t.leaf_names[0]};"
+    if t.nv == 2:
+        a, b = t.leaf_names
+        w = t.adj[t.vertex_of(a)][t.vertex_of(b)]
+        return f"({b}:{w}){a};"
+    return _subtree_text(t, _anchor(t), None)[1] + ";"
+
+
+def reference_rooted_canonical_form(t):
+    return ("R", _serialize(t, t.root, None))
+
+
+def reference_format_rooted_newick(t):
+    return _subtree_text(t, t.root, None)[1] + ";"
+
+
+class _RecursiveParser(_Parser):
+    """The Newick reader as one recursive call per node."""
+
+    def node(self):
+        children, name = [], None
+        if self.peek() == "(":
+            self.take("(")
+            while True:
+                child = self.node()
+                children.append((child, self.weight()))
+                if self.peek() == ",":
+                    self.take(",")
+                    continue
+                break
+            self.take(")")
+        name = self.name()
+        if not children and name is None:
+            raise self.error("expected a leaf name or '('")
+        return children, name
+
+    def tree(self):
+        top = self.node()
+        self.take(";")
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("trailing text after ';'")
+        return top
+
+
+def _collect(node, counter, edges, names):
+    vid = counter[0]
+    counter[0] += 1
+    children, name = node
+    for child, w in children:
+        edges.append((vid, _collect(child, counter, edges, names), w))
+    if not children:
+        names[vid] = name
+    return vid
+
+
+def _reference_read(text):
+    top = _RecursiveParser(text).tree()
+    counter, edges, names = [0], [], {}
+    _collect(top, counter, edges, names)
+    return top, counter[0], edges, names
+
+
+def reference_parse_newick(text):
+    top, nv, edges, names = _reference_read(text)
+    children, name = top
+    if len(children) == 1 and name is not None:
+        names[0] = name
+    try:
+        return LabeledTree.build(nv, edges, names)
+    except ValueError as exc:
+        raise TreeFormatError(str(exc)) from None
+
+
+def reference_parse_rooted_newick(text):
+    top, nv, edges, names = _reference_read(text)
+    if not top[0]:
+        raise TreeFormatError(
+            "a rooted tree needs '(...)' around the root's children")
+    try:
+        return RootedLabeledTree.build(nv, edges, names, root=0)
+    except ValueError as exc:
+        raise TreeFormatError(str(exc)) from None

@@ -1,5 +1,6 @@
 import pytest
 
+from exact2rel import cli
 from exact2rel.cli import main
 
 C4 = "4 4\n0 1\n0 3\n1 2\n2 3\n"
@@ -136,3 +137,40 @@ def test_output_is_stable(write, capsys):
         assert main(["recognize", graph]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_internal_error_exit_code(write, capsys, monkeypatch):
+    def broken(g):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "recognize", broken)
+    assert main(["recognize", write("g.txt", P4)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: broken on purpose\n"
+
+
+def test_deep_tree_through_every_tree_command(write, capsys):
+    # leaf 2 on top, a chain of 1198 weight-0 edges, then leaves 0 and 1
+    inner = "(0:0,1:2)"
+    for _ in range(1198):
+        inner = f"({inner}:0)"
+    tree = write("t.nwk", f"({inner}:2)2;\n")
+    assert main(["explain", tree]) == 0
+    assert capsys.readouterr().out == "# 0 = 0\n# 1 = 1\n# 2 = 2\n3 2\n0 1\n0 2\n"
+    assert main(["explain", tree, "--rooted"]) == 0
+    assert capsys.readouterr().out == "# 0 = 0\n# 1 = 1\n2 1\n0 1\n"
+    assert main(["canonicalize", tree]) == 0
+    assert capsys.readouterr().out == "(0:0,1:2,2:2);\n"
+    assert main(["verify", tree, write("g.txt", "3 2\n0 1\n0 2\n")]) == 0
+    assert capsys.readouterr().out == "OK\n"
+
+
+def test_recognize_long_path(write, capsys, tmp_path):
+    n = 5000
+    graph = write("g.txt", f"{n} {n - 1}\n"
+                  + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    witness = str(tmp_path / "w.nwk")
+    assert main(["recognize", graph, "--out", witness]) == 0
+    assert main(["verify", witness, graph]) == 0
+    assert capsys.readouterr().out == "OK\n"

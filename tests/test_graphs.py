@@ -207,3 +207,19 @@ def test_isomorphism_under_random_relabeling():
         rng.shuffle(perm)
         h = from_edge_list(n, [(perm[a], perm[b]) for a, b in g.edges])
         assert are_isomorphic(g, h)
+
+
+# Numbers stay small so that no fuzzed header asks for a huge graph.
+TOKENS = st.sampled_from(["0", "1", "2", "3", "12", "-1", "1.5", "x", "#",
+                          "0 1", "", "2 1\n0 1"])
+SEPARATORS = st.sampled_from([" ", "\n", "\t", "  \n", "#c\n"])
+
+
+@given(st.lists(st.tuples(TOKENS, SEPARATORS), max_size=14))
+def test_parsers_raise_only_format_errors(parts):
+    text = "".join(token + sep for token, sep in parts)
+    for parse in (parse_graph, parse_oriented):
+        try:
+            parse(text)
+        except GraphFormatError:
+            pass

@@ -1,10 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_canonical_tree, random_rooted_tree, random_tree
-from exact2rel import (TreeFormatError, format_newick, format_rooted_newick,
-                       parse_newick, parse_rooted_newick)
+from conftest import (random_canonical_tree, random_rooted_tree, random_tree,
+                      reference_canonical_form, reference_format_newick,
+                      reference_format_rooted_newick,
+                      reference_parse_newick, reference_parse_rooted_newick,
+                      reference_rooted_canonical_form)
+from exact2rel import (LabeledTree, RootedLabeledTree, TreeFormatError,
+                       construct_oriented, enumerate_rooted,
+                       enumerate_topologies, format_newick,
+                       format_rooted_newick, from_arc_list, from_edge_list,
+                       parse_newick, parse_rooted_newick, recognize, verify)
+from exact2rel.rooted import rooted_canonical_form
+from exact2rel.trees import canonical_form, certify_relation
 
 
 def test_parse_simple():
@@ -113,3 +124,137 @@ def test_rooted_vs_unrooted_reading_differs():
     rooted = parse_rooted_newick("(b:1)a;")
     assert sorted(rooted.names.values()) == ["b"]
     assert rooted.root not in rooted.names
+
+
+# ----------------------------------------------------------------------
+# the iterative reader and writers against the recursive references
+# ----------------------------------------------------------------------
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``, down to the vertex numbering,
+    or the exact error message."""
+    try:
+        t = parse(text)
+    except TreeFormatError as exc:
+        return "error", str(exc)
+    return (t.nv, t.weighted_edges(), list(t.names.items()),
+            getattr(t, "root", None))
+
+
+def assert_reads_like_reference(text):
+    assert outcome(parse_newick, text) == outcome(reference_parse_newick, text)
+    assert (outcome(parse_rooted_newick, text)
+            == outcome(reference_parse_rooted_newick, text))
+
+
+EDIT_CHARS = "(),:;ab01-+. \n|"
+
+
+def test_reader_matches_recursive_reference():
+    rng = random.Random(2718)
+    texts = ["", ";", "a;", "(a:1);", "(b:2)a;", "((a:0)x:1,b:2)y;"]
+    for _ in range(150):
+        t = random_tree(rng, rng.randint(1, 10))
+        texts.append(format_newick(t))
+    for _ in range(40):
+        texts.append(format_rooted_newick(random_rooted_tree(rng, rng.randint(2, 5))))
+    malformed = []
+    for text in texts:
+        for _ in range(6):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randint(0, len(chars))
+                op = rng.randrange(3)
+                if op == 0 and i < len(chars):
+                    del chars[i]
+                elif op == 1:
+                    chars.insert(i, rng.choice(EDIT_CHARS))
+                elif i < len(chars):
+                    chars[i] = rng.choice(EDIT_CHARS)
+            malformed.append("".join(chars))
+    errors = 0
+    for text in texts + malformed:
+        assert_reads_like_reference(text)
+        errors += outcome(parse_newick, text)[0] == "error"
+    assert errors > len(malformed) // 2
+
+
+@given(st.text(alphabet=EDIT_CHARS + "\t_x9", max_size=40))
+def test_reader_raises_only_format_errors(text):
+    assert_reads_like_reference(text)
+
+
+def assert_writes_like_reference(t):
+    assert format_newick(t) == reference_format_newick(t)
+    assert canonical_form(t) == reference_canonical_form(t)
+
+
+def assert_rooted_writes_like_reference(rt):
+    assert format_rooted_newick(rt) == reference_format_rooted_newick(rt)
+    assert rooted_canonical_form(rt) == reference_rooted_canonical_form(rt)
+
+
+def test_writers_match_recursive_reference_on_small_shapes():
+    rng = random.Random(99)
+    rootings = 0
+    for n in range(1, 6):
+        for topo in enumerate_topologies(n):
+            interior = set(topo.interior_vertices())
+            for _ in range(3):
+                edges = [(u, v, rng.randint(1 if {u, v} <= interior else 0, 3))
+                         for u, v, _ in topo.weighted_edges()]
+                t = LabeledTree.build(topo.nv, edges, topo.names)
+                assert_writes_like_reference(t)
+                if t.nv < 2:
+                    continue
+                for rt in enumerate_rooted(t):
+                    assert_rooted_writes_like_reference(rt)
+                    rootings += 1
+    assert rootings > 1000
+
+
+@given(st.integers(1, 14), st.randoms(use_true_random=False))
+def test_writers_match_recursive_reference_on_random_trees(nv, rng):
+    t = random_tree(rng, nv)
+    assert_writes_like_reference(t)
+    for root in t.interior_vertices()[:3]:
+        rt = RootedLabeledTree.build(nv, t.weighted_edges(), t.names, root)
+        assert_rooted_writes_like_reference(rt)
+
+
+# ----------------------------------------------------------------------
+# inputs nested far deeper than the interpreter's recursion limit
+# ----------------------------------------------------------------------
+
+def test_long_path_witness_round_trip():
+    n = 5000
+    g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    text = format_newick(recognize(g).witness)
+    t = parse_newick(text)
+    assert format_newick(t) == text
+    assert verify(t, g, 2).ok
+
+
+def test_long_caterpillar_round_trip():
+    rng = random.Random(5)
+    spine = 4998  # 5000 leaves; the smallest name sits at one end
+    edges = [(v - 1, v, rng.randint(0, 3)) for v in range(1, spine)]
+    hangs = [0] + list(range(spine)) + [spine - 1]
+    edges += [(v, spine + i, rng.randint(0, 3)) for i, v in enumerate(hangs)]
+    names = {spine + i: f"x{i:04d}" for i in range(len(hangs))}
+    t = LabeledTree.build(spine + len(hangs), edges, names)
+    text = format_newick(t)
+    assert text.count("(") >= spine
+    back = parse_newick(text)
+    assert format_newick(back) == text
+    assert back.total_weight() == t.total_weight()
+
+
+def test_long_directed_path_round_trip():
+    n = 5000
+    d = from_arc_list(n, [(i, i + 1) for i in range(n - 1)])
+    text = format_rooted_newick(construct_oriented(d))
+    rt = parse_rooted_newick(text)
+    assert format_rooted_newick(rt) == text
+    arcs = [(rt.vertex_of(str(x)), rt.vertex_of(str(y))) for x, y in d.arcs]
+    assert certify_relation(rt, rt.root, arcs, 2, directed=True)

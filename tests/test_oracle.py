@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import (all_labeled_graphs, count_topologies_reference,
+                      random_graph)
 from exact2rel import (EnumerationBudget, all_witnesses,
-                       check_characterization, count_topologies_reference,
-                       enumerate_topologies, explainable_set, format_newick,
+                       check_characterization, enumerate_topologies,
+                       explainable_set, format_newick,
                        format_report, from_arc_list, from_edge_list,
                        induced_subgraph, is_canonical, recognize,
                        rooted_explainable_set, verify)

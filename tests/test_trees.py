@@ -1,11 +1,14 @@
+import ast
+import inspect
 import random
 
 import pytest
 
-from conftest import random_canonical_tree, random_tree
+from conftest import random_canonical_tree, random_tree, reference_canonicalize
 from exact2rel import (LabeledTree, canonicalize, explain, is_canonical,
-                       is_zero_discrete, leaf_distance_matrix, parse_newick,
-                       restrict, scale)
+                       is_zero_discrete, leaf_distance_matrix, newick,
+                       parse_newick, restrict, rooted, scale, trees)
+from exact2rel.trees import tree_layout
 
 
 def caterpillar_p4():
@@ -183,3 +186,67 @@ def test_trees_with_same_shape_different_names_differ():
     a = parse_newick("(a:1,b:1,c:1);")
     b = parse_newick("(a:1,b:1,d:1);")
     assert a != b
+
+
+def exact(t):
+    """The tree down to its vertex numbering."""
+    return t.nv, t.weighted_edges(), sorted(t.names.items())
+
+
+def caterpillar(rng, leaves, max_weight=3):
+    """A spine with one leaf per vertex (two at each end)."""
+    spine = leaves - 2
+    edges = [(v - 1, v, rng.randint(0, max_weight)) for v in range(1, spine)]
+    hangs = [0] + list(range(spine)) + [spine - 1]
+    edges += [(v, spine + i, rng.randint(0, max_weight))
+              for i, v in enumerate(hangs)]
+    return LabeledTree.build(spine + len(hangs), edges,
+                             {spine + i: f"c{i}" for i in range(len(hangs))})
+
+
+def test_canonicalize_matches_rescan_reference():
+    rng = random.Random(31)
+    for _ in range(400):
+        t = random_tree(rng, rng.randint(3, 30), max_weight=rng.choice((1, 3)))
+        assert exact(canonicalize(t)) == exact(reference_canonicalize(t))
+    for leaves in (3, 4, 10, 300):
+        for max_weight in (1, 3):
+            t = caterpillar(rng, leaves, max_weight)
+            assert exact(canonicalize(t)) == exact(reference_canonicalize(t))
+
+
+def test_canonicalize_deep_caterpillar():
+    rng = random.Random(8)
+    t = caterpillar(rng, 5000, max_weight=1)
+    c = canonicalize(t)
+    assert is_canonical(c)
+    assert c.total_weight() == t.total_weight()
+    for a in rng.sample(t.leaf_names, 3):
+        _, _, before = tree_layout(t.adj, t.vertex_of(a))
+        _, _, after = tree_layout(c.adj, c.vertex_of(a))
+        assert all(before[t.vertex_of(b)] == after[c.vertex_of(b)]
+                   for b in t.leaf_names)
+
+
+def test_leaf_distances_match_restriction():
+    rng = random.Random(12)
+    for _ in range(40):
+        t = random_tree(rng, rng.randint(2, 12))
+        dm = leaf_distance_matrix(t)
+        for a in dm.names:
+            for b in dm.names:
+                want = 0 if a == b else restrict(t, [a, b]).total_weight()
+                assert dm.get(a, b) == want
+
+
+@pytest.mark.parametrize("module", [newick, trees, rooted])
+def test_tree_walks_do_not_recurse(module):
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                f = call.func
+                called = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                assert called != node.name, f"{node.name} calls itself"
