@@ -20,9 +20,8 @@ from .newick import TreeFormatError, format_newick, parse_newick, \
     parse_rooted_newick
 from .oracle import (CharacterizationReport, EnumerationBudget,
                      ExplainableSet, RootedExplainableSet, all_witnesses,
-                     brute_force_rootings, check_characterization,
-                     enumerate_topologies, explainable_set, format_report,
-                     rooted_explainable_set)
+                     check_characterization, enumerate_topologies,
+                     explainable_set, format_report, rooted_explainable_set)
 from .rooted import (OrientedOutcome, RootedLabeledTree, construct_oriented,
                      directed_explain, directed_relation_pairs,
                      enumerate_rooted, format_rooted_newick,

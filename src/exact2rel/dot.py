@@ -4,7 +4,6 @@ are drawn dashed.  Output is deterministic for a given input."""
 from __future__ import annotations
 
 from .graphs import Graph, OrientedGraph
-from .rooted import RootedLabeledTree
 from .trees import LabeledTree
 
 
@@ -31,34 +30,6 @@ def tree_to_dot(t: LabeledTree) -> str:
             lines.append(f'  "{ids[v]}" [shape=point];')
     for u, v, w in sorted(t.weighted_edges()):
         lines.append(f'  "{ids[u]}" -- "{ids[v]}"{_edge_attrs(w)};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def rooted_tree_to_dot(t: RootedLabeledTree) -> str:
-    ids = {}
-    interior = 0
-    for v in range(t.nv):
-        if v in t.names:
-            ids[v] = t.names[v]
-        else:
-            ids[v] = "root" if v == t.root else f"i{interior}"
-            if v != t.root:
-                interior += 1
-    lines = ["digraph tree {"]
-    for v in sorted(t.names):
-        lines.append(f'  "{ids[v]}";')
-    lines.append(f'  "{ids[t.root]}" [shape=triangle];')
-    for v in range(t.nv):
-        if v not in t.names and v != t.root:
-            lines.append(f'  "{ids[v]}" [shape=point];')
-    # parent -> child, walked from the root
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        for u in sorted(t.children(v)):
-            lines.append(f'  "{ids[v]}" -> "{ids[u]}"{_edge_attrs(t.adj[v][u])};')
-            stack.append(u)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

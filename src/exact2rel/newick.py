@@ -73,7 +73,10 @@ class _Parser:
             raise self.error("weights must be integers")
         if not token or not token.lstrip("+-").isdigit():
             raise self.error("expected an integer weight")
-        value = int(token)
+        try:
+            value = int(token)
+        except ValueError:  # beyond the interpreter's integer-string limit
+            raise self.error("weight has too many digits") from None
         if value < 0:
             raise self.error("weights must be non-negative")
         return value

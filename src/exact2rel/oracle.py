@@ -1,28 +1,28 @@
 """Exhaustive brute force over small trees: the independent ground truth
 against which everything else is tested.
 
-The oracle enumerates every tree shape with up to 7 named leaves, every
+The oracle covers every tree shape with up to 7 named leaves, every
 weight assignment within a budget, and (for the rooted questions) every
 root placement, recording which graphs arise.  It deliberately shares no
 code with the recognition pipeline: graphs are handled as bitmasks over
-vertex pairs, trees are walked by dumb loops, and isomorphism reduction
-is a minimum over all vertex permutations.
+vertex pairs, the kernels in ``_kernel`` sum weights over flat edge-index
+lists, and isomorphism reduction is a minimum over all vertex
+permutations, taken once per orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterator
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
 from .graphs import (Graph, OrientedGraph, false_twin_partition, from_arc_list,
                      from_edge_list, is_block_graph, is_forest, quotient,
                      underlying_graph)
-from .rooted import (RootedLabeledTree, is_canonical_rooted, recognize_oriented,
-                     underlying_tree)
-from .trees import LabeledTree, canonical_form, canonicalize, is_canonical
+from .rooted import recognize_oriented
+from .trees import LabeledTree, canonical_form
 
 LETTERS = "abcdefg"
 
@@ -123,10 +123,6 @@ def _prepare(t: LabeledTree) -> _Shape:
     leaves = [t.vertex_of(s) for s in names]
     n = len(leaves)
     edges = [(u, v) for u, v, _ in t.weighted_edges()]
-    eidx = {}
-    for i, (u, v) in enumerate(edges):
-        eidx[(u, v)] = i
-        eidx[(v, u)] = i
     adj_e: list[list[tuple[int, int]]] = [[] for _ in range(t.nv)]
     for i, (u, v) in enumerate(edges):
         adj_e[u].append((v, i))
@@ -159,9 +155,8 @@ def _prepare(t: LabeledTree) -> _Shape:
     interior_roots = [[from_leaf[x][r] for x in range(n)]
                       for r in t.interior_vertices()]
     edge_roots = []
-    for u, v in edges:
-        side = [1 if eidx[(u, v)] not in from_leaf[x][u] else 0
-                for x in range(n)]
+    for i, (u, v) in enumerate(edges):
+        side = [1 if i not in from_leaf[x][u] else 0 for x in range(n)]
         # a leaf is on the u side exactly when its path to u avoids (u,v)
         near = [from_leaf[x][u] if side[x] else from_leaf[x][v]
                 for x in range(n)]
@@ -272,40 +267,29 @@ def canonical_arc_mask(d: OrientedGraph) -> int:
     return canonical_arc_mask_of(oriented_to_mask(d), d.n)
 
 
+def _orbit_minima(masks: Iterable[int], remaps: list[list[int]]) -> set[int]:
+    """The smallest image of every orbit that ``masks`` meets: each orbit
+    is generated once, at its first mask, and marked seen as a whole."""
+    seen: set[int] = set()
+    out = set()
+    for mask in masks:
+        if mask not in seen:
+            orbit = set(_images(mask, remaps))
+            seen |= orbit
+            out.add(min(orbit))
+    return out
+
+
 def all_graph_classes(n: int) -> list[int]:
     """Canonical masks of all isomorphism classes of graphs on n vertices."""
-    n_pairs = n * (n - 1) // 2
-    seen: set[int] = set()
-    out = []
-    for mask in range(1 << n_pairs):
-        if mask in seen:
-            continue
-        orbit = set(_images(mask, _pair_maps(n)))
-        seen |= orbit
-        out.append(min(orbit))
-    return sorted(out)
+    return sorted(_orbit_minima(range(1 << n * (n - 1) // 2), _pair_maps(n)))
 
 
 def all_oriented_classes(n: int) -> list[int]:
     """Canonical arc masks of all oriented-graph isomorphism classes."""
-    pairs = list(combinations(range(n), 2))
-    seen: set[int] = set()
-    out = []
-
-    def assignments(i: int, mask: int) -> None:
-        if i == len(pairs):
-            if mask not in seen:
-                orbit = set(_images(mask, _arc_maps(n)))
-                seen.update(orbit)
-                out.append(min(orbit))
-            return
-        u, v = pairs[i]
-        assignments(i + 1, mask)
-        assignments(i + 1, mask | 1 << (u * n + v))
-        assignments(i + 1, mask | 1 << (v * n + u))
-
-    assignments(0, 0)
-    return sorted(out)
+    choices = [(0, 1 << (u * n + v), 1 << (v * n + u))
+               for u, v in combinations(range(n), 2)]
+    return sorted(_orbit_minima(map(sum, product(*choices)), _arc_maps(n)))
 
 
 # ======================================================================
@@ -325,9 +309,6 @@ class ExplainableSet:
             raise ValueError(f"n={g.n} outside the enumerated budget")
         return canonical_mask(g) in self.masks[g.n]
 
-    def graphs(self, n: int) -> list[Graph]:
-        return [mask_to_graph(n, m) for m in sorted(self.masks[n])]
-
 
 @dataclass(frozen=True, eq=False)
 class RootedExplainableSet:
@@ -341,9 +322,6 @@ class RootedExplainableSet:
         if d.n not in self.masks:
             raise ValueError(f"n={d.n} outside the enumerated budget")
         return canonical_arc_mask(d) in self.masks[d.n]
-
-    def oriented_graphs(self, n: int) -> list[OrientedGraph]:
-        return [mask_to_oriented(n, m) for m in sorted(self.masks[n])]
 
 
 def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
@@ -363,7 +341,7 @@ def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
             acc |= enumerate_relation_masks(
                 len(shape.paths), shape.paths, min_w, W, k,
                 budget.zero_discrete_only)
-        out[n] = frozenset(canonical_mask_of(m, n) for m in acc)
+        out[n] = frozenset(_orbit_minima(acc, _pair_maps(n)))
     return ExplainableSet(k, budget, out)
 
 
@@ -420,37 +398,8 @@ def rooted_explainable_set(budget: EnumerationBudget,
                 n, shape.pair_index, shape.paths, min_w, W, k,
                 budget.zero_discrete_only, budget.canonical_only,
                 shape.interior_roots, shape.edge_roots)
-        out[n] = frozenset(canonical_arc_mask_of(m, n) for m in acc)
+        out[n] = frozenset(_orbit_minima(acc, _arc_maps(n)))
     return RootedExplainableSet(k, budget, out)
-
-
-def brute_force_rootings(t: LabeledTree) -> set[RootedLabeledTree]:
-    """All rooted canonical trees whose unrooted reduction is ``t``,
-    found by trying every placement directly: the root at each interior
-    vertex, or splitting each edge weight into (a, w - a) for every a.
-    Placements failing rooted canonicity or not reducing back to ``t``
-    are discarded.  Independent of the three-move enumeration in
-    ``rooted``; used to validate it.
-    """
-    if t.nv < 2:
-        raise ValueError("cannot root a single-vertex tree")
-    if not is_canonical(t):
-        raise ValueError("input tree must be canonical")
-    out: set[RootedLabeledTree] = set()
-    base = t.weighted_edges()
-    for v in t.interior_vertices():
-        rt = RootedLabeledTree.build(t.nv, base, t.names, root=v)
-        if is_canonical_rooted(rt) and canonicalize(underlying_tree(rt)) == t:
-            out.add(rt)
-    r = t.nv
-    for u, v, m in base:
-        for a in range(m + 1):
-            edges = [e for e in base if set(e[:2]) != {u, v}]
-            edges += [(u, r, a), (r, v, m - a)]
-            rt = RootedLabeledTree.build(t.nv + 1, edges, t.names, root=r)
-            if is_canonical_rooted(rt) and canonicalize(underlying_tree(rt)) == t:
-                out.add(rt)
-    return out
 
 
 # ======================================================================

@@ -21,7 +21,7 @@ from .graphs import (OrientedGraph, TwinPartition, connected_components,
                      directed_quotient, directed_twin_partition, find_cycle,
                      from_arc_list, underlying_graph)
 from .newick import subtree_text
-from .trees import (LabeledTree, certify_relation, is_canonical,
+from .trees import (LabeledTree, certify_relation, flat_form, is_canonical,
                     lowest_common_ancestors, subtree_key, tree_layout)
 
 
@@ -131,7 +131,8 @@ class RootedLabeledTree:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RootedLabeledTree)
-                and rooted_canonical_form(self) == rooted_canonical_form(other))
+                and flat_form(rooted_canonical_form(self))
+                == flat_form(rooted_canonical_form(other)))
 
     def __hash__(self) -> int:
         return hash(rooted_canonical_form(self))

@@ -124,7 +124,8 @@ class LabeledTree:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LabeledTree)
-                and canonical_form(self) == canonical_form(other))
+                and flat_form(canonical_form(self))
+                == flat_form(canonical_form(other)))
 
     def __hash__(self) -> int:
         return hash(canonical_form(self))
@@ -461,3 +462,18 @@ def canonical_form(t: LabeledTree) -> tuple:
     # with nv > 2 the smallest leaf's one neighbour is interior
     (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
     return ("T", subtree_key(t.adj, t.names, anchor))
+
+
+def flat_form(form: tuple) -> list:
+    """``form`` flattened without recursion, each nested tuple written as
+    ``None``, its length and its items: equal lists exactly for equal forms."""
+    out: list = []
+    stack = [form]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            out += (None, len(x))
+            stack += reversed(x)
+        else:
+            out.append(x)
+    return out

@@ -8,9 +8,11 @@ import math
 from itertools import combinations
 
 from exact2rel import (LabeledTree, RootedLabeledTree, TreeFormatError,
-                       VerificationResult, enumerate_rooted,
+                       VerificationResult, canonicalize, enumerate_rooted,
                        enumerate_topologies, format_rooted_newick,
-                       from_arc_list, from_edge_list, leaf_distance_matrix)
+                       from_arc_list, from_edge_list, is_canonical,
+                       is_canonical_rooted, leaf_distance_matrix,
+                       underlying_tree)
 from exact2rel.newick import _Parser
 from exact2rel.trees import _compact
 
@@ -278,6 +280,68 @@ def count_topologies_reference(n: int) -> int:
         )
         forests[j] = 2 * rooted[j]
     return rooted[m]
+
+
+def reference_matching_weightings(n_pairs, paths, min_w, max_w, k,
+                                  zero_discrete):
+    """The unpruned odometer the relation kernels replaced: every
+    admitted weighting, edge 0 varying fastest, grouped by its relation
+    mask.  ``matching_weightings(..., target)`` must equal the list
+    under ``target`` (or ``[]``), and ``enumerate_relation_masks`` the
+    set of keys."""
+    n_edges = len(min_w)
+    w = list(min_w)
+    found = {}
+    while True:
+        mask = 0
+        ok = True
+        for p in range(n_pairs):
+            d = 0
+            for e in paths[p]:
+                d += w[e]
+            if d == k:
+                mask |= 1 << p
+            elif d == 0 and zero_discrete:
+                ok = False
+                break
+        if ok:
+            found.setdefault(mask, []).append(tuple(w))
+        e = 0
+        while e < n_edges and w[e] == max_w:
+            w[e] = min_w[e]
+            e += 1
+        if e == n_edges:
+            return found
+        w[e] += 1
+
+
+def brute_force_rootings(t: LabeledTree):
+    """All rooted canonical trees whose unrooted reduction is ``t``,
+    found by trying every placement directly: the root at each interior
+    vertex, or splitting each edge weight into (a, w - a) for every a.
+    Placements failing rooted canonicity or not reducing back to ``t``
+    are discarded.  Independent of the three-move enumeration in
+    ``rooted.enumerate_rooted``; used to validate it.
+    """
+    if t.nv < 2:
+        raise ValueError("cannot root a single-vertex tree")
+    if not is_canonical(t):
+        raise ValueError("input tree must be canonical")
+    out = set()
+    base = t.weighted_edges()
+    for v in t.interior_vertices():
+        rt = RootedLabeledTree.build(t.nv, base, t.names, root=v)
+        if is_canonical_rooted(rt) and canonicalize(underlying_tree(rt)) == t:
+            out.add(rt)
+    r = t.nv
+    for u, v, m in base:
+        for a in range(m + 1):
+            edges = [e for e in base if set(e[:2]) != {u, v}]
+            edges += [(u, r, a), (r, v, m - a)]
+            rt = RootedLabeledTree.build(t.nv + 1, edges, t.names, root=r)
+            if is_canonical_rooted(rt) and canonicalize(underlying_tree(rt)) == t:
+                out.add(rt)
+    return out
 
 
 def reference_canonicalize(t):

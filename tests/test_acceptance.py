@@ -12,10 +12,11 @@ from graphlib import CycleError, TopologicalSorter
 import pytest
 
 from conftest import (all_labeled_graphs, all_labeled_oriented,
-                      random_block_graph, random_canonical_tree,
-                      random_false_twin_blowup, random_tree)
-from exact2rel import (EnumerationBudget, all_witnesses, brute_force_rootings,
-                       canonicalize, directed_quotient,
+                      brute_force_rootings, random_block_graph,
+                      random_canonical_tree, random_false_twin_blowup,
+                      random_tree)
+from exact2rel import (EnumerationBudget, all_witnesses, canonicalize,
+                       check_characterization, directed_quotient,
                        directed_twin_partition, enumerate_rooted, explain,
                        explainable_set, false_twin_partition, format_newick,
                        from_arc_list, from_edge_list, induced_subgraph,
@@ -51,7 +52,9 @@ def has_directed_cycle(d):
 def test_c01_recognizer_quotient_and_search_agree(general_set):
     """All 1099 labeled graphs on 1..5 vertices: the linear-time
     recognizer, the twin-quotient block-graph test, and the exhaustive
-    witness search give the same verdict."""
+    witness search give the same verdict.  On 6 vertices the exhaustive
+    search and the quotient criterion agree on every isomorphism
+    class."""
     checked = 0
     for n in range(1, N_MAX + 1):
         for g in all_labeled_graphs(n):
@@ -61,7 +64,12 @@ def test_c01_recognizer_quotient_and_search_agree(general_set):
             assert fast == general_set.contains(g)
             checked += 1
     assert checked == 1099
-    print(f"criterion 1: PASS — three-way agreement on {checked} graphs")
+    report = check_characterization(EnumerationBudget(max_leaves=6), 2)
+    assert report.discrepancies == []
+    assert report.counts[("graph", 6)] == (156, 90)
+    print(f"criterion 1: PASS — three-way agreement on {checked} graphs; "
+          "the oracle and the quotient criterion agree on all 156 "
+          "classes with 6 vertices (90 realizable)")
 
 
 def test_c02_every_witness_verifies():
@@ -114,15 +122,16 @@ def test_c04_forced_witnesses_are_unique():
 
 
 def test_c05_long_cycles_are_impossible():
-    """5- and 6-cycles admit no witness at any weighting in budget, and
-    the recognizer refuses them with a certificate."""
-    for n in (5, 6):
+    """5-, 6- and 7-cycles admit no witness at any weighting in budget,
+    and the recognizer refuses them with a certificate."""
+    for n in (5, 6, 7):
         cyc = from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
         assert all_witnesses(cyc, EnumerationBudget(max_leaves=n), 2) == []
         out = recognize(cyc)
         assert not out.decision
         assert out.certificate == tuple(range(n))
-    print("criterion 5: PASS — C5 and C6 impossible, certificates emitted")
+    print("criterion 5: PASS — C5, C6 and C7 impossible, certificates "
+          "emitted")
 
 
 def test_c06_oriented_class_is_quotient_arborescence_forests():

@@ -128,6 +128,9 @@ def test_usage_errors(write, capsys):
     assert main(["explain", str(write("ok.nwk", "(a:1,b:1);")), "--k", "0"]) == 2
     assert main(["explain", "/nonexistent/file.nwk"]) == 2
     capsys.readouterr()
+    long_weight = write("w.nwk", "(a:" + "1" * 5000 + ",b:1);\n")
+    assert main(["canonicalize", long_weight]) == 2
+    assert "line 1, column 5004" in capsys.readouterr().err
 
 
 def test_output_is_stable(write, capsys):

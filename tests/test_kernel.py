@@ -1,17 +1,21 @@
-"""The enumeration kernels agree with the tree-level definitions.
+"""The enumeration kernels agree with the tree-level definitions and
+with the unpruned odometer they replaced.
 
 The kernels sum weights over flat edge-index lists.  The references here
 build every weighted tree of a shape and ask ``explain`` (or
 ``directed_explain`` at every root placement) for its relation, so they
 share no code with the kernel loops.  Each shape is walked once with
 free weights; the canonical and zero-discrete configurations are
-filters of that walk, which keep its order.
+filters of that walk, which keep its order.  The odometer reference in
+``conftest`` visits every weighting; the pruned kernels must return
+exactly what it returns, lists in the same order.
 """
 
 from itertools import product
 
 import pytest
 
+from conftest import reference_matching_weightings
 from exact2rel._kernel import (enumerate_relation_masks,
                                enumerate_rooted_arc_masks, matching_weightings)
 from exact2rel.oracle import (_prepare, _tree_with_weights,
@@ -85,6 +89,26 @@ def test_relation_kernels_follow_explain(k):
                 assert matching_weightings(
                     n_pairs, sh.paths, min_w, k + 1, k, zero_discrete,
                     target) == by_mask.get(target, [])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pruned_kernels_equal_the_odometer(k):
+    """Every shape with 1-5 leaves, canonical and free weights, with and
+    without zero-discrete: the same mask sets, and the same weighting
+    lists in the same order for every target (4 leaves and fewer) or
+    every achievable target plus the empty and the full mask (5)."""
+    for topo, sh in shapes(range(1, 6)):
+        n_pairs = len(sh.paths)
+        for min_w in (sh.min_w_canonical, sh.min_w_free):
+            for zero_discrete in (False, True):
+                args = (n_pairs, sh.paths, min_w, k + 1, k, zero_discrete)
+                by_mask = reference_matching_weightings(*args)
+                assert enumerate_relation_masks(*args) == set(by_mask)
+                targets = (range(1 << n_pairs) if topo.n_leaves <= 4 else
+                           {0, (1 << n_pairs) - 1, *by_mask})
+                for target in targets:
+                    assert (matching_weightings(*args, target)
+                            == by_mask.get(target, []))
 
 
 # the reference roots every tree at up to ~20 places; at k = 3 on four

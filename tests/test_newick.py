@@ -70,6 +70,14 @@ def test_error_location_is_reported():
     assert "line 2" in msg
 
 
+def test_overlong_weight_is_a_format_error():
+    text = "(a:" + "1" * 5000 + ",b:1);"
+    for parse in (parse_newick, parse_rooted_newick):
+        with pytest.raises(TreeFormatError, match="line 1, column 5004: "
+                           "weight has too many digits"):
+            parse(text)
+
+
 def test_round_trip_random_trees():
     rng = random.Random(4242)
     for _ in range(120):
@@ -229,10 +237,13 @@ def test_writers_match_recursive_reference_on_random_trees(nv, rng):
 def test_long_path_witness_round_trip():
     n = 5000
     g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-    text = format_newick(recognize(g).witness)
+    witness = recognize(g).witness
+    text = format_newick(witness)
     t = parse_newick(text)
     assert format_newick(t) == text
     assert verify(t, g, 2).ok
+    assert t == witness and hash(t) == hash(witness)
+    assert t != parse_newick(text.replace(":2);", ":3);"))
 
 
 def test_long_caterpillar_round_trip():
@@ -256,5 +267,7 @@ def test_long_directed_path_round_trip():
     text = format_rooted_newick(construct_oriented(d))
     rt = parse_rooted_newick(text)
     assert format_rooted_newick(rt) == text
+    assert rt == construct_oriented(d)
+    assert rt != parse_rooted_newick(text.replace(":2);", ":3);"))
     arcs = [(rt.vertex_of(str(x)), rt.vertex_of(str(y))) for x, y in d.arcs]
     assert certify_relation(rt, rt.root, arcs, 2, directed=True)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (all_labeled_oriented, random_arborescence_forest,
-                      random_canonical_tree, random_directed_twin_blowup,
-                      random_rooted_tree, random_tree,
-                      reference_directed_relation_pairs)
-from exact2rel import (LabeledTree, RootedLabeledTree, brute_force_rootings,
-                       canonicalize, construct_oriented, directed_explain,
+from conftest import (all_labeled_oriented, brute_force_rootings,
+                      random_arborescence_forest, random_canonical_tree,
+                      random_directed_twin_blowup, random_rooted_tree,
+                      random_tree, reference_directed_relation_pairs)
+from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize, construct_oriented, directed_explain,
                        directed_relation_pairs, directed_twin_partition,
                        enumerate_rooted, enumerate_topologies,
                        format_rooted_newick, from_arc_list,

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from conftest import random_canonical_tree, random_tree, reference_canonicalize
-from exact2rel import (LabeledTree, canonicalize, explain, is_canonical,
-                       is_zero_discrete, leaf_distance_matrix, newick,
-                       parse_newick, restrict, rooted, scale, trees)
-from exact2rel.trees import tree_layout
+from exact2rel import (LabeledTree, canonicalize, explain, format_newick,
+                       is_canonical, is_zero_discrete, leaf_distance_matrix,
+                       newick, parse_newick, restrict, rooted, scale, trees)
+from exact2rel.trees import canonical_form, tree_layout
 
 
 def caterpillar_p4():
@@ -180,6 +180,15 @@ def test_tree_equality_ignores_vertex_numbering():
     c = LabeledTree.build(4, [(3, 0, 1), (3, 1, 2), (3, 2, 2)],
                           {0: "x", 1: "y", 2: "z"})
     assert a != c
+
+
+def test_equality_is_equality_of_canonical_forms():
+    rng = random.Random(8)
+    trees_ = [random_tree(rng, rng.randint(1, 7), 2) for _ in range(60)]
+    trees_ += [parse_newick(format_newick(t)) for t in trees_[:20]]
+    for a in trees_:
+        for b in trees_:
+            assert (a == b) == (canonical_form(a) == canonical_form(b))
 
 
 def test_trees_with_same_shape_different_names_differ():
