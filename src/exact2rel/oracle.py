@@ -7,12 +7,14 @@ root placement, recording which graphs arise.  It deliberately shares no
 code with the recognition pipeline: graphs are handled as bitmasks over
 vertex pairs, the kernels in ``_kernel`` sum weights over flat edge-index
 lists, and isomorphism reduction is a minimum over all vertex
-permutations, taken once per orbit.
+permutations, taken once per orbit; as it closes over relabelings, the
+explainable sets call their kernel once per unlabeled shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
@@ -22,7 +24,7 @@ from .graphs import (Graph, OrientedGraph, false_twin_partition, from_arc_list,
                      from_edge_list, is_block_graph, is_forest, quotient,
                      underlying_graph)
 from .rooted import recognize_oriented
-from .trees import LabeledTree, canonical_form
+from .trees import LabeledTree, canonical_form, subtree_key
 
 LETTERS = "abcdefg"
 
@@ -46,11 +48,13 @@ class EnumerationBudget:
     def resolve_weight(self, k: int) -> int:
         return self.max_weight if self.max_weight is not None else k + 1
 
-    def validate(self) -> None:
+    def validate(self, k: int = 1) -> None:
         if not 1 <= self.max_leaves <= 7:
             raise ValueError("max_leaves must be in 1..7")
         if self.max_weight is not None and self.max_weight < 1:
             raise ValueError("max_weight must be >= 1")
+        if k < 1:
+            raise ValueError("k must be >= 1")
 
 
 # ======================================================================
@@ -102,16 +106,26 @@ def enumerate_topologies(n: int) -> list[LabeledTree]:
     return list(result)
 
 
+@cache
+def unlabeled_shapes(n: int) -> tuple[LabeledTree, ...]:
+    """The first topology of each unlabeled shape with ``n`` leaves, keyed
+    by its smallest form hung from an interior vertex, names blanked."""
+    seen: dict[tuple, LabeledTree] = {}
+    for t in enumerate_topologies(n):
+        blank = dict.fromkeys(t.names, "")
+        seen.setdefault(min((subtree_key(t.adj, blank, v)
+                             for v in t.interior_vertices()), default=()), t)
+    return tuple(seen.values())
+
+
 # ======================================================================
 # Shape preprocessing for the kernels
 # ======================================================================
 
 @dataclass
 class _Shape:
-    n_leaves: int
     edges: list[tuple[int, int]]
     paths: list[list[int]]
-    pair_index: list[list[int]]
     min_w_canonical: list[int]
     min_w_free: list[int]
     interior_roots: list[list[list[int]]]
@@ -143,14 +157,9 @@ def _prepare(t: LabeledTree) -> _Shape:
     from_leaf = [paths_from(v) for v in leaves]
     pairs = list(combinations(range(n), 2))
     paths = [from_leaf[i][leaves[j]] for i, j in pairs]
-    pair_index = [[0] * n for _ in range(n)]
-    for p, (i, j) in enumerate(pairs):
-        pair_index[i][j] = p
-        pair_index[j][i] = p
 
     is_leaf = [len(t.adj[v]) <= 1 for v in range(t.nv)]
     min_w_canonical = [0 if is_leaf[u] or is_leaf[v] else 1 for u, v in edges]
-    min_w_free = [0] * len(edges)
 
     interior_roots = [[from_leaf[x][r] for x in range(n)]
                       for r in t.interior_vertices()]
@@ -161,7 +170,7 @@ def _prepare(t: LabeledTree) -> _Shape:
         near = [from_leaf[x][u] if side[x] else from_leaf[x][v]
                 for x in range(n)]
         edge_roots.append((is_leaf[u], is_leaf[v], side, near))
-    return _Shape(n, edges, paths, pair_index, min_w_canonical, min_w_free,
+    return _Shape(edges, paths, min_w_canonical, [0] * len(edges),
                   interior_roots, edge_roots)
 
 
@@ -327,14 +336,12 @@ class RootedExplainableSet:
 def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
     """Every graph realizable as a level-``k`` relation within budget,
     one canonical mask per isomorphism class, keyed by leaf count."""
-    budget.validate()
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    budget.validate(k)
     W = budget.resolve_weight(k)
     out: dict[int, frozenset[int]] = {}
     for n in range(1, budget.max_leaves + 1):
         acc: set[int] = set()
-        for topo in enumerate_topologies(n):
+        for topo in unlabeled_shapes(n):
             shape = _prepare(topo)
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
@@ -349,9 +356,7 @@ def all_witnesses(g: Graph, budget: EnumerationBudget, k: int) -> list[LabeledTr
     """Every tree within budget whose level-``k`` relation is exactly
     ``g`` (leaves named after its vertices), deduplicated; sorted
     deterministically.  Empty when ``g.n`` exceeds the budget."""
-    budget.validate()
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    budget.validate(k)
     if g.n == 0 or g.n > budget.max_leaves:
         return []
     W = budget.resolve_weight(k)
@@ -373,29 +378,21 @@ def all_witnesses(g: Graph, budget: EnumerationBudget, k: int) -> list[LabeledTr
 def rooted_explainable_set(budget: EnumerationBudget,
                            k: int) -> RootedExplainableSet:
     """Every oriented graph realizable as a level-``k`` directed relation
-    of a rooted tree within budget.
-
-    Root placements cover each interior vertex and each split of an edge
-    into two non-negative parts; with ``canonical_only`` a zero part
-    toward an interior vertex is skipped.  A single leaf below the root
-    gives the 1-vertex empty relation, recorded specially.
+    of a rooted tree within budget, the root at each interior vertex or
+    at each split of an edge into two non-negative parts.  A single leaf
+    below the root gives the 1-vertex empty relation, recorded specially.
     """
-    budget.validate()
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    budget.validate(k)
     W = budget.resolve_weight(k)
-    out: dict[int, frozenset[int]] = {}
-    for n in range(1, budget.max_leaves + 1):
-        if n == 1:
-            out[1] = frozenset({0})
-            continue
+    out: dict[int, frozenset[int]] = {1: frozenset({0})}
+    for n in range(2, budget.max_leaves + 1):
         acc: set[int] = set()
-        for topo in enumerate_topologies(n):
+        for topo in unlabeled_shapes(n):
             shape = _prepare(topo)
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
             acc |= enumerate_rooted_arc_masks(
-                n, shape.pair_index, shape.paths, min_w, W, k,
+                n, [], shape.paths, min_w, W, k,
                 budget.zero_discrete_only, budget.canonical_only,
                 shape.interior_roots, shape.edge_roots)
         out[n] = frozenset(_orbit_minima(acc, _arc_maps(n)))
@@ -452,9 +449,9 @@ def check_characterization(budget: EnumerationBudget,
     block graph (the graph itself, under ``zero_discrete_only``); the
     oriented criterion is forest shape plus in-degree <= 1 in the twin
     quotient (in the graph itself under ``zero_discrete_only``).  The
-    oriented side is capped at 4 vertices to keep the permutation
-    reduction cheap.  For k=1 the criterion is forest; it only holds
-    under ``zero_discrete_only`` (or trivially for max_leaves <= 3),
+    oriented side stays capped at 4 vertices to keep the report text
+    byte-stable, not for cost.  For k=1 the criterion is forest; it holds
+    only under ``zero_discrete_only`` (or trivially for max_leaves <= 3),
     other uses are refused.
 
     Raises:

@@ -13,7 +13,10 @@ from exact2rel import (LabeledTree, RootedLabeledTree, TreeFormatError,
                        from_arc_list, from_edge_list, is_canonical,
                        is_canonical_rooted, leaf_distance_matrix,
                        underlying_tree)
+from exact2rel._kernel import (enumerate_relation_masks,
+                               enumerate_rooted_arc_masks)
 from exact2rel.newick import _Parser
+from exact2rel.oracle import _arc_maps, _orbit_minima, _pair_maps, _prepare
 from exact2rel.trees import _compact
 
 
@@ -313,6 +316,114 @@ def reference_matching_weightings(n_pairs, paths, min_w, max_w, k,
         if e == n_edges:
             return found
         w[e] += 1
+
+
+def pair_index_of(n):
+    """``pair_index[x][y]``: the number of the pair {x, y} in
+    ``combinations(range(n), 2)`` order, for x != y."""
+    index = [[0] * n for _ in range(n)]
+    for p, (x, y) in enumerate(combinations(range(n), 2)):
+        index[x][y] = index[y][x] = p
+    return index
+
+
+def reference_rooted_arc_masks(n_leaves, pair_index, paths, min_w_canonical,
+                               max_w, k, interior_roots, edge_roots):
+    """The unpruned odometer the rooted kernel replaced: every weighting
+    with weights 0..``max_w``, every root placement, and the arc mask of
+    each from every ordered leaf pair.  The shape is walked once; the
+    result is the mask set of each kernel configuration, keyed
+    ``(canonical_only, zero_discrete)``.  Canonical drops weightings
+    below ``min_w_canonical`` and zero stubs toward an interior vertex;
+    zero-discrete drops weightings with a leaf pair at weight 0.  The
+    other arguments are those of ``enumerate_rooted_arc_masks``, which
+    must return the set under its configuration."""
+    n = n_leaves
+
+    def arc_mask(pd, dr):
+        mask = 0
+        for x in range(n):
+            for y in range(n):
+                if x != y and pd[pair_index[x][y]] == k and dr[y] == dr[x] + k:
+                    mask |= 1 << (x * n + y)
+        return mask
+
+    def record(mask, stub_ok):
+        for canonical in (False, True):
+            if canonical and not (canonical_w and stub_ok):
+                continue
+            out[canonical, False].add(mask)
+            if not zero:
+                out[canonical, True].add(mask)
+
+    out = {(c, z): set() for c in (False, True) for z in (False, True)}
+    n_edges = len(min_w_canonical)
+    w = [0] * n_edges
+    pd = [0] * (n * (n - 1) // 2)
+    dr = [0] * n
+    while True:
+        zero = False
+        for p in range(len(paths)):
+            d = 0
+            for e in paths[p]:
+                d += w[e]
+            pd[p] = d
+            zero = zero or d == 0
+        canonical_w = all(x >= m for x, m in zip(w, min_w_canonical))
+        for rts in interior_roots:
+            for x in range(n):
+                d = 0
+                for e in rts[x]:
+                    d += w[e]
+                dr[x] = d
+            record(arc_mask(pd, dr), True)
+        for ei in range(n_edges):
+            u_is_leaf, v_is_leaf, side, near = edge_roots[ei]
+            we = w[ei]
+            base = [0] * n
+            for x in range(n):
+                d = 0
+                for e in near[x]:
+                    d += w[e]
+                base[x] = d
+            for a in range(we + 1):
+                stub_ok = ((a > 0 or u_is_leaf) and (a < we or v_is_leaf))
+                for x in range(n):
+                    dr[x] = base[x] + (a if side[x] else we - a)
+                record(arc_mask(pd, dr), stub_ok)
+        e = 0
+        while e < n_edges and w[e] == max_w:
+            w[e] = 0
+            e += 1
+        if e == n_edges:
+            return out
+        w[e] += 1
+
+
+def reference_explainable_masks(budget, k, rooted=False):
+    """``explainable_set(budget, k).masks`` (``rooted_explainable_set``
+    when ``rooted``) from one kernel call per labeled topology, not one
+    per unlabeled shape."""
+    W = budget.resolve_weight(k)
+    out = {1: frozenset({0})} if rooted else {}
+    for n in range(1 + rooted, budget.max_leaves + 1):
+        acc = set()
+        for topo in enumerate_topologies(n):
+            sh = _prepare(topo)
+            min_w = (sh.min_w_canonical if budget.canonical_only
+                     else sh.min_w_free)
+            if rooted:
+                acc |= enumerate_rooted_arc_masks(
+                    n, pair_index_of(n), sh.paths, min_w, W, k,
+                    budget.zero_discrete_only, budget.canonical_only,
+                    sh.interior_roots, sh.edge_roots)
+            else:
+                acc |= enumerate_relation_masks(
+                    len(sh.paths), sh.paths, min_w, W, k,
+                    budget.zero_discrete_only)
+        remaps = _arc_maps(n) if rooted else _pair_maps(n)
+        out[n] = frozenset(_orbit_minima(acc, remaps))
+    return out
 
 
 def brute_force_rootings(t: LabeledTree):

@@ -23,6 +23,7 @@ from exact2rel import (EnumerationBudget, all_witnesses, canonicalize,
                        is_block_graph, is_canonical, is_forest, parse_newick,
                        quotient, recognize, recognize_oriented,
                        rooted_explainable_set, underlying_graph, verify)
+from exact2rel.oracle import all_oriented_classes, mask_to_oriented
 
 N_MAX = 5
 C4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -135,9 +136,9 @@ def test_c05_long_cycles_are_impossible():
 
 
 def test_c06_oriented_class_is_quotient_arborescence_forests():
-    """All 3^6 = 729 oriented graphs on <= 4 vertices: the enumerated
-    realizable set equals {graphs whose directed-twin quotient is a
-    forest with every in-degree <= 1}.
+    """All 3^6 = 729 oriented graphs on <= 4 vertices and all 582
+    oriented classes on 5: the enumerated realizable set equals {graphs
+    whose directed-twin quotient is a forest with every in-degree <= 1}.
 
     The quotient placement matters: arcs {0->2, 1->2, 0->3, 1->3} have a
     4-cycle underneath yet are realizable because the twin classes
@@ -146,29 +147,39 @@ def test_c06_oriented_class_is_quotient_arborescence_forests():
     to {forests with every in-degree <= 1} outright, expelling the
     two-arc in-star.
     """
-    rs = rooted_explainable_set(EnumerationBudget(max_leaves=4), 2)
+    rs = rooted_explainable_set(EnumerationBudget(max_leaves=5), 2)
     zd = rooted_explainable_set(
-        EnumerationBudget(max_leaves=4, zero_discrete_only=True), 2)
+        EnumerationBudget(max_leaves=5, zero_discrete_only=True), 2)
+
+    def check(d):
+        p = directed_twin_partition(d)
+        q, _ = directed_quotient(d, p)
+        predicted = (is_forest(underlying_graph(q))
+                     and all(len(q.in_adj[z]) <= 1 for z in range(q.n)))
+        assert rs.contains(d) == predicted
+        assert recognize_oriented(d).decision == predicted
+        if predicted:
+            assert not has_directed_cycle(d)
+            assert recognize(underlying_graph(d)).decision
+        flat = (is_forest(underlying_graph(d))
+                and all(len(d.in_adj[z]) <= 1 for z in range(d.n)))
+        assert zd.contains(d) == flat
+        return predicted, flat
+
     for n in range(1, 5):
         for d in all_labeled_oriented(n):
-            p = directed_twin_partition(d)
-            q, _ = directed_quotient(d, p)
-            predicted = (is_forest(underlying_graph(q))
-                         and all(len(q.in_adj[z]) <= 1 for z in range(q.n)))
-            assert rs.contains(d) == predicted
-            assert recognize_oriented(d).decision == predicted
-            if predicted:
-                assert not has_directed_cycle(d)
-                assert recognize(underlying_graph(d)).decision
-            flat = (is_forest(underlying_graph(d))
-                    and all(len(d.in_adj[z]) <= 1 for z in range(d.n)))
-            assert zd.contains(d) == flat
+            check(d)
+    five = [check(mask_to_oriented(5, mask))
+            for mask in all_oriented_classes(5)]
+    assert len(five) == 582
+    assert [sum(col) for col in zip(*five)] == [39, 20]
     in_star = from_arc_list(3, [(0, 2), (1, 2)])
     doubled = from_arc_list(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
     assert rs.contains(in_star) and not zd.contains(in_star)
     assert rs.contains(doubled) and not zd.contains(doubled)
     print("criterion 6: PASS — oriented class == quotient arborescence "
-          "forests (n<=4, both budgets)")
+          "forests (n<=5, both budgets; 39 and 20 of the 582 classes on "
+          "5 vertices)")
 
 
 def test_c07_rooting_moves_are_complete():

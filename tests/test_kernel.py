@@ -1,26 +1,28 @@
 """The enumeration kernels agree with the tree-level definitions and
-with the unpruned odometer they replaced.
+with the unpruned odometers they replaced.
 
 The kernels sum weights over flat edge-index lists.  The references here
 build every weighted tree of a shape and ask ``explain`` (or
 ``directed_explain`` at every root placement) for its relation, so they
 share no code with the kernel loops.  Each shape is walked once with
 free weights; the canonical and zero-discrete configurations are
-filters of that walk, which keep its order.  The odometer reference in
-``conftest`` visits every weighting; the pruned kernels must return
-exactly what it returns, lists in the same order.
+filters of that walk, which keep its order.  The odometer references in
+``conftest`` visit every weighting (and every root placement); the
+pruned kernels must return exactly what they return, lists in the same
+order.
 """
 
 from itertools import product
 
 import pytest
 
-from conftest import reference_matching_weightings
+from conftest import (pair_index_of, reference_matching_weightings,
+                      reference_rooted_arc_masks)
 from exact2rel._kernel import (enumerate_relation_masks,
                                enumerate_rooted_arc_masks, matching_weightings)
 from exact2rel.oracle import (_prepare, _tree_with_weights,
                               enumerate_topologies, graph_to_mask,
-                              oriented_to_mask)
+                              oriented_to_mask, unlabeled_shapes)
 from exact2rel.rooted import RootedLabeledTree, directed_explain
 from exact2rel.trees import explain, is_zero_discrete
 
@@ -121,6 +123,38 @@ def test_rooted_arc_masks_follow_directed_explain(k, max_leaves):
         for min_w, zero_discrete, admitted in configurations(sh, walked):
             expected = set().union(*(masks for _, masks in admitted))
             assert enumerate_rooted_arc_masks(
-                topo.n_leaves, sh.pair_index, sh.paths, min_w, k + 1, k,
-                zero_discrete, min_w is sh.min_w_canonical,
+                topo.n_leaves, pair_index_of(topo.n_leaves), sh.paths, min_w,
+                k + 1, k, zero_discrete, min_w is sh.min_w_canonical,
                 sh.interior_roots, sh.edge_roots) == expected
+
+
+def odometer_agrees(topo, sh, k, max_w):
+    """The rooted kernel returns the odometer's set in all four
+    configurations: canonical and free weights, zero-discrete off and
+    on."""
+    n = topo.n_leaves
+    pair_index = pair_index_of(n)
+    expected = reference_rooted_arc_masks(
+        n, pair_index, sh.paths, sh.min_w_canonical, max_w, k,
+        sh.interior_roots, sh.edge_roots)
+    for (canonical, zero_discrete), masks in expected.items():
+        min_w = sh.min_w_canonical if canonical else sh.min_w_free
+        assert enumerate_rooted_arc_masks(
+            n, pair_index, sh.paths, min_w, max_w, k, zero_discrete,
+            canonical, sh.interior_roots, sh.edge_roots) == masks
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rooted_kernel_equals_the_odometer(k):
+    """Every shape with 2-4 leaves at caps k+1 and k+2."""
+    for topo, sh in shapes(range(2, 5)):
+        for max_w in (k + 1, k + 2):
+            odometer_agrees(topo, sh, k, max_w)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rooted_kernel_equals_the_odometer_at_five_leaves(k):
+    """The three unlabeled 5-leaf shapes at cap k+1.  The odometer needs
+    seconds here, so larger caps and k = 3 stop at four leaves."""
+    for topo in unlabeled_shapes(5):
+        odometer_agrees(topo, _prepare(topo), k, k + 1)

@@ -1,9 +1,10 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from conftest import (all_labeled_graphs, count_topologies_reference,
-                      random_graph)
+                      random_graph, reference_explainable_masks)
 from exact2rel import (EnumerationBudget, all_witnesses,
                        check_characterization, enumerate_topologies,
                        explainable_set, format_newick,
@@ -11,7 +12,9 @@ from exact2rel import (EnumerationBudget, all_witnesses,
                        induced_subgraph, is_canonical, recognize,
                        rooted_explainable_set, verify)
 from exact2rel.oracle import (all_graph_classes, all_oriented_classes,
-                              canonical_mask_of, graph_to_mask, mask_to_graph)
+                              canonical_mask_of, graph_to_mask, mask_to_graph,
+                              unlabeled_shapes)
+from exact2rel.trees import LabeledTree, canonical_form
 
 C4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 DIAMOND = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -34,6 +37,47 @@ def test_topology_shapes_are_well_formed():
                 assert len(t.adj[v]) >= 3
             seen.add(t)
         assert len(seen) == len(enumerate_topologies(n))
+
+
+def test_unlabeled_shape_counts():
+    # series-reduced trees by leaf count (Harary and Prins, 1959)
+    assert [len(unlabeled_shapes(n)) for n in range(1, 7)] == [1, 1, 1, 2, 3, 7]
+
+
+def test_unlabeled_shapes_are_distinct_and_complete():
+    """No representative is a relabeling of another, and every labeled
+    topology is a relabeling of one, by trying every leaf permutation."""
+    for n in range(1, 6):
+        names = enumerate_topologies(n)[0].leaf_names
+        relabeled = []
+        for t in unlabeled_shapes(n):
+            forms = set()
+            for perm in permutations(names):
+                rename = dict(zip(names, perm))
+                forms.add(canonical_form(LabeledTree.build(
+                    t.nv, t.weighted_edges(),
+                    {v: rename[s] for v, s in t.names.items()})))
+            assert all(forms.isdisjoint(other) for other in relabeled)
+            relabeled.append(forms)
+        assert ({canonical_form(t) for t in enumerate_topologies(n)}
+                <= set().union(*relabeled))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_kernel_call_per_unlabeled_shape(k):
+    """The explainable sets (5 leaves) and rooted explainable sets (4)
+    equal a reference that calls the kernel on every labeled topology,
+    at caps k+1 and k+2, canonical and free weights, with and without
+    zero-discrete."""
+    for cap in (k + 1, k + 2):
+        for canonical in (True, False):
+            for zd in (False, True):
+                b5 = EnumerationBudget(5, cap, canonical, zd)
+                b4 = EnumerationBudget(4, cap, canonical, zd)
+                assert (explainable_set(b5, k).masks
+                        == reference_explainable_masks(b5, k))
+                assert (rooted_explainable_set(b4, k).masks
+                        == reference_explainable_masks(b4, k, rooted=True))
 
 
 def test_topology_bounds():
@@ -101,12 +145,19 @@ def test_explainable_membership_pinned():
 
 
 def test_weight_cap_is_saturated():
-    # raising the weight bound beyond k+1 finds nothing new
+    # raising the weight bound beyond k+1 finds nothing new, for graphs
+    # on 4 vertices and for oriented graphs on 5
     for zd in (False, True):
         small = explainable_set(
             EnumerationBudget(max_leaves=4, zero_discrete_only=zd), 2)
         large = explainable_set(
             EnumerationBudget(max_leaves=4, max_weight=4,
+                              zero_discrete_only=zd), 2)
+        assert small.masks == large.masks
+        small = rooted_explainable_set(
+            EnumerationBudget(max_leaves=5, zero_discrete_only=zd), 2)
+        large = rooted_explainable_set(
+            EnumerationBudget(max_leaves=5, max_weight=4,
                               zero_discrete_only=zd), 2)
         assert small.masks == large.masks
 
