@@ -14,8 +14,7 @@ from pathlib import Path
 
 from . import dot, oracle
 from .construct import recognize, verify
-from .graphs import (directed_quotient, directed_twin_partition,
-                     false_twin_partition, format_graph, format_oriented,
+from .graphs import (directed_quotient, format_graph, format_oriented,
                      parse_graph, parse_oriented, quotient)
 from .newick import format_newick, parse_newick, parse_rooted_newick
 from .rooted import (construct_oriented, directed_explain, enumerate_rooted,
@@ -85,20 +84,14 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
 def cmd_quotient(args: argparse.Namespace) -> int:
     text = _read(args.graph)
     if args.oriented:
-        d = parse_oriented(text)
-        p = directed_twin_partition(d)
-        q, _ = directed_quotient(d, p)
-        classes = p.classes
-        body_graph = format_oriented(q)
+        res = directed_quotient(parse_oriented(text))
+        body_graph = format_oriented(res.graph)
     else:
-        g = parse_graph(text)
-        p = false_twin_partition(g)
-        q = quotient(g, p).graph
-        classes = p.classes
-        body_graph = format_graph(q)
+        res = quotient(parse_graph(text))
+        body_graph = format_graph(res.graph)
     header = "".join(
         f"# class {i}: {' '.join(map(str, cls))}\n"
-        for i, cls in enumerate(classes))
+        for i, cls in enumerate(res.partition.classes))
     _emit(header + body_graph, args.out)
     return 0
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (Graph, TwinPartition, block_decomposition,
-                     connected_components, false_twin_partition,
-                     induced_subgraph, quotient)
+                     connected_components, induced_subgraph, quotient)
 from .trees import (LabeledTree, canonicalize, certify_relation,
                     leaf_distance_matrix)
 
@@ -322,9 +321,8 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
     if g.n == 0:
         raise ValueError("the empty graph has no tree: a tree needs a leaf")
 
-    p = false_twin_partition(g)
-    qres = quotient(g, p)
-    q = qres.graph
+    qres = quotient(g)
+    p, q = qres.partition, qres.graph
     reps = p.representatives
 
     for blk in block_decomposition(q).blocks:

@@ -3,9 +3,11 @@ recognition pipeline needs: twin partitions, quotients, connected
 components, block decomposition, induced subgraphs, isomorphism testing,
 and a line-oriented text format.
 
-Vertices are always the integers ``0 .. n-1``.  Undirected edges are
-stored as ordered pairs ``(u, v)`` with ``u < v``; arcs keep their
-direction.
+Vertices are always the integers ``0 .. n-1``.  Adjacency sets are the
+stored form: a graph keeps each vertex's neighbor set, an oriented graph
+its out- and in-neighbor sets.  The edge set (pairs ``(u, v)`` with
+``u < v``) and the arc set (pairs that keep their direction) are built
+from them on first read and cached.
 """
 
 from __future__ import annotations
@@ -26,17 +28,21 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "m", "adj", "_edges")
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]],
-                 adj: tuple[frozenset[int], ...]):
-        self.n = n
-        self.edges = edges
+    def __init__(self, adj: tuple[frozenset[int], ...]):
+        self.n = len(adj)
+        self.m = sum(map(len, adj)) // 2
         self.adj = adj
+        self._edges: frozenset[tuple[int, int]] | None = None
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges as pairs ``(u, v)`` with ``u < v``."""
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u, nb in enumerate(self.adj)
+                                    for v in nb if u < v)
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -45,8 +51,7 @@ class Graph:
         return len(self.adj[v])
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Graph)
-                and self.n == other.n and self.edges == other.edges)
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
@@ -58,26 +63,30 @@ class Graph:
 class OrientedGraph:
     """Immutable oriented graph: a digraph with no loops and no 2-cycles."""
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj")
+    __slots__ = ("n", "m", "out_adj", "in_adj", "_arcs")
 
-    def __init__(self, n: int, arcs: frozenset[tuple[int, int]],
-                 out_adj: tuple[frozenset[int], ...],
+    def __init__(self, out_adj: tuple[frozenset[int], ...],
                  in_adj: tuple[frozenset[int], ...]):
-        self.n = n
-        self.arcs = arcs
+        self.n = len(out_adj)
+        self.m = sum(map(len, out_adj))
         self.out_adj = out_adj
         self.in_adj = in_adj
+        self._arcs: frozenset[tuple[int, int]] | None = None
 
     @property
-    def m(self) -> int:
-        return len(self.arcs)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Arcs as pairs ``(tail, head)``."""
+        if self._arcs is None:
+            self._arcs = frozenset((u, v) for u, nb in enumerate(self.out_adj)
+                                   for v in nb)
+        return self._arcs
 
     def has_arc(self, u: int, v: int) -> bool:
         return v in self.out_adj[u]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, OrientedGraph)
-                and self.n == other.n and self.arcs == other.arcs)
+                and self.out_adj == other.out_adj)
 
     def __hash__(self) -> int:
         return hash((self.n, self.arcs))
@@ -108,13 +117,14 @@ class TwinPartition:
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """Quotient graph together with the relabeling that produced it.
+    """Quotient graph together with the partition it contracts.
 
-    Quotient vertex ``i`` stands for class ``i`` of the input partition;
+    Quotient vertex ``i`` stands for class ``i`` of ``partition``;
     ``vertex_to_new`` maps every original vertex to its quotient vertex.
     """
 
-    graph: Graph
+    graph: Graph | OrientedGraph
+    partition: TwinPartition
     vertex_to_new: dict[int, int]
 
 
@@ -144,18 +154,15 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    edges = set()
+    adj = [set() for _ in range(n)]
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        edges.add((u, v) if u < v else (v, u))
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, frozenset(edges), tuple(frozenset(s) for s in adj))
+    return Graph(tuple(map(frozenset, adj)))
 
 
 def from_arc_list(n: int, pairs: Iterable[tuple[int, int]]) -> OrientedGraph:
@@ -167,24 +174,24 @@ def from_arc_list(n: int, pairs: Iterable[tuple[int, int]]) -> OrientedGraph:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    arcs = set()
+    pairs = list(pairs)     # read again to name a 2-cycle
+    out_adj = [set() for _ in range(n)]
+    in_adj = [set() for _ in range(n)]
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        arcs.add((u, v))
-    for u, v in arcs:
-        if (v, u) in arcs:
-            raise ValueError(f"2-cycle between {u} and {v}")
-    out_adj = [set() for _ in range(n)]
-    in_adj = [set() for _ in range(n)]
-    for u, v in arcs:
         out_adj[u].add(v)
         in_adj[v].add(u)
-    return OrientedGraph(n, frozenset(arcs),
-                         tuple(frozenset(s) for s in out_adj),
-                         tuple(frozenset(s) for s in in_adj))
+    if any(map(set.intersection, out_adj, in_adj)):
+        # the first opposite pair in the arc set's own order
+        arcs = {(u, v) for u, v in pairs}
+        for u, v in arcs:
+            if (v, u) in arcs:
+                raise ValueError(f"2-cycle between {u} and {v}")
+    return OrientedGraph(tuple(map(frozenset, out_adj)),
+                         tuple(map(frozenset, in_adj)))
 
 
 # ======================================================================
@@ -205,32 +212,21 @@ def false_twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(g.n, tuple(classes))
 
 
-def quotient(g: Graph, p: TwinPartition) -> QuotientResult:
-    """Contract each false-twin class to a single vertex.
+def _class_of(p: TwinPartition) -> dict[int, int]:
+    return {v: i for i, cls in enumerate(p.classes) for v in cls}
 
-    The result is the subgraph induced on the class representatives
-    (smallest member of each class), relabeled ``0 .. h-1`` in
-    representative order.
 
-    Args:
-        g: input graph.
-        p: the partition to contract; must equal ``false_twin_partition(g)``.
+def quotient(g: Graph) -> QuotientResult:
+    """Contract each false-twin class of ``g`` to a single vertex.
 
-    Raises:
-        ValueError: if ``p`` is not the false-twin partition of ``g``.
+    Quotient vertex ``i`` is class ``i`` of ``false_twin_partition(g)``,
+    adjacent to the classes its members are adjacent to.  That is
+    well defined because a neighborhood is a union of whole classes.
     """
-    if p != false_twin_partition(g):
-        raise ValueError("partition is not the false-twin partition of g")
-    reps = p.representatives
-    new_id = {r: i for i, r in enumerate(reps)}
-    vertex_to_new = {}
-    for i, cls in enumerate(p.classes):
-        for v in cls:
-            vertex_to_new[v] = i
-    edges = [(new_id[u], new_id[v]) for u, v in g.edges
-             if u in new_id and v in new_id]
-    qg = from_edge_list(len(reps), edges)
-    return QuotientResult(qg, vertex_to_new)
+    p = false_twin_partition(g)
+    new = _class_of(p)
+    adj = tuple(frozenset([new[w] for w in g.adj[c[0]]]) for c in p.classes)
+    return QuotientResult(Graph(adj), p, new)
 
 
 def directed_twin_partition(d: OrientedGraph) -> TwinPartition:
@@ -243,20 +239,15 @@ def directed_twin_partition(d: OrientedGraph) -> TwinPartition:
     return TwinPartition(d.n, tuple(classes))
 
 
-def directed_quotient(d: OrientedGraph, p: TwinPartition) -> tuple[OrientedGraph, dict[int, int]]:
-    """Contract directed twin classes; returns the quotient and the
-    original-vertex to quotient-vertex map."""
-    if p != directed_twin_partition(d):
-        raise ValueError("partition is not the directed twin partition of d")
+def directed_quotient(d: OrientedGraph) -> QuotientResult:
+    """Contract each directed twin class of ``d`` to a single vertex,
+    numbered as in ``directed_twin_partition(d)``."""
+    p = directed_twin_partition(d)
+    new = _class_of(p)
     reps = p.representatives
-    new_id = {r: i for i, r in enumerate(reps)}
-    vertex_to_new = {}
-    for i, cls in enumerate(p.classes):
-        for v in cls:
-            vertex_to_new[v] = i
-    arcs = [(new_id[u], new_id[v]) for u, v in d.arcs
-            if u in new_id and v in new_id]
-    return from_arc_list(len(reps), arcs), vertex_to_new
+    out_adj = tuple(frozenset([new[w] for w in d.out_adj[r]]) for r in reps)
+    in_adj = tuple(frozenset([new[w] for w in d.in_adj[r]]) for r in reps)
+    return QuotientResult(OrientedGraph(out_adj, in_adj), p, new)
 
 
 # ======================================================================
@@ -303,7 +294,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             continue
         root_children = 0
         # each frame: (vertex, iterator over neighbors)
-        stack = [(start, iter(sorted(g.adj[start])))]
+        stack = [(start, iter(g.adj[start]))]
         disc[start] = low[start] = timer
         timer += 1
         while stack:
@@ -317,7 +308,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                     parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(sorted(g.adj[w]))))
+                    stack.append((w, iter(g.adj[w])))
                     advanced = True
                     break
                 if w != parent[v] and disc[w] < disc[v]:
@@ -368,14 +359,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     if any(v < 0 or v >= g.n for v in vs):
         raise ValueError("vertex out of range")
     new_id = {v: i for i, v in enumerate(vs)}
-    edges = [(new_id[u], new_id[v]) for u, v in g.edges
-             if u in new_id and v in new_id]
-    return from_edge_list(len(vs), edges)
+    return Graph(tuple(frozenset([new_id[w] for w in g.adj[v] if w in new_id])
+                       for v in vs))
 
 
 def underlying_graph(d: OrientedGraph) -> Graph:
     """Forget arc directions."""
-    return from_edge_list(d.n, list(d.arcs))
+    return Graph(tuple(map(frozenset.union, d.out_adj, d.in_adj)))
 
 
 def is_forest(g: Graph) -> bool:
@@ -466,22 +456,16 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # emits edges sorted lexicographically.  The same layout serves oriented
 # graphs, with each line read as an arc tail -> head.
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
-
-
 def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
-    lines = _content_lines(text)
-    if not lines:
+    # split() drops the whitespace strip() would, so a line is blank or a
+    # comment exactly when it splits to nothing or to a "#..." first field
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            break
+    else:
         raise GraphFormatError("empty input: expected a header line 'n m'")
-    lineno, header = lines[0]
-    parts = header.split()
     if len(parts) != 2:
         raise GraphFormatError(f"line {lineno}: header must be 'n m'")
     try:
@@ -490,22 +474,35 @@ def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
         raise GraphFormatError(f"line {lineno}: header must be two integers") from None
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative count in header")
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphFormatError(
-            f"header announces {m} edge lines but {len(body)} found")
+    # count every edge line, read them up to the first bad one: a wrong
+    # count outranks a bad line
     pairs = []
-    for lineno, line in body:
-        parts = line.split()
+    found = 0
+    error = None
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        found += 1
+        if error:
+            continue
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
+            error = f"line {lineno}: expected 'u v'"
+            continue
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: endpoints must be integers") from None
+            error = f"line {lineno}: endpoints must be integers"
+            continue
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: endpoint out of range")
+            error = f"line {lineno}: endpoint out of range"
+            continue
         pairs.append((u, v))
+    if found != m:
+        raise GraphFormatError(
+            f"header announces {m} edge lines but {found} found")
+    if error:
+        raise GraphFormatError(error)
     return n, pairs
 
 

@@ -20,9 +20,8 @@ from typing import Iterable, Iterator
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
-from .graphs import (Graph, OrientedGraph, false_twin_partition, from_arc_list,
-                     from_edge_list, is_block_graph, is_forest, quotient,
-                     underlying_graph)
+from .graphs import (Graph, OrientedGraph, from_arc_list, from_edge_list,
+                     is_block_graph, is_forest, quotient, underlying_graph)
 from .rooted import recognize_oriented
 from .trees import LabeledTree, canonical_form, subtree_key
 
@@ -289,16 +288,20 @@ def _orbit_minima(masks: Iterable[int], remaps: list[list[int]]) -> set[int]:
     return out
 
 
-def all_graph_classes(n: int) -> list[int]:
+@cache
+def all_graph_classes(n: int) -> tuple[int, ...]:
     """Canonical masks of all isomorphism classes of graphs on n vertices."""
-    return sorted(_orbit_minima(range(1 << n * (n - 1) // 2), _pair_maps(n)))
+    return tuple(sorted(_orbit_minima(range(1 << n * (n - 1) // 2),
+                                      _pair_maps(n))))
 
 
-def all_oriented_classes(n: int) -> list[int]:
+@cache
+def all_oriented_classes(n: int) -> tuple[int, ...]:
     """Canonical arc masks of all oriented-graph isomorphism classes."""
     choices = [(0, 1 << (u * n + v), 1 << (v * n + u))
                for u, v in combinations(range(n), 2)]
-    return sorted(_orbit_minima(map(sum, product(*choices)), _arc_maps(n)))
+    return tuple(sorted(_orbit_minima(map(sum, product(*choices)),
+                                      _arc_maps(n))))
 
 
 # ======================================================================
@@ -425,7 +428,7 @@ def _undirected_criterion(g: Graph, k: int, zero_discrete: bool) -> bool:
     if k == 2:
         if zero_discrete:
             return is_block_graph(g)
-        q = quotient(g, false_twin_partition(g)).graph
+        q = quotient(g).graph
         return is_block_graph(q)
     if k == 1:
         return is_forest(g)

@@ -18,8 +18,8 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .graphs import (OrientedGraph, TwinPartition, connected_components,
-                     directed_quotient, directed_twin_partition, find_cycle,
-                     from_arc_list, underlying_graph)
+                     directed_quotient, find_cycle, from_arc_list,
+                     underlying_graph)
 from .newick import subtree_text
 from .trees import (LabeledTree, certify_relation, flat_form, is_canonical,
                     lowest_common_ancestors, subtree_key, tree_layout)
@@ -318,8 +318,8 @@ def _decide(d: OrientedGraph
             ) -> tuple[OrientedOutcome, TwinPartition, OrientedGraph]:
     """``recognize_oriented``'s outcome, with the directed twin partition
     and the quotient it was read from."""
-    p = directed_twin_partition(d)
-    q, _ = directed_quotient(d, p)
+    qres = directed_quotient(d)
+    p, q = qres.partition, qres.graph
     reps = p.representatives
     outcome = OrientedOutcome(True, None, "")
     cyc = find_cycle(underlying_graph(q))

@@ -6,9 +6,11 @@ package against code with no shared logic.
 
 import math
 from itertools import combinations
+from typing import NamedTuple
 
-from exact2rel import (LabeledTree, RootedLabeledTree, TreeFormatError,
-                       VerificationResult, canonicalize, enumerate_rooted,
+from exact2rel import (GraphFormatError, LabeledTree, RootedLabeledTree,
+                       TreeFormatError, VerificationResult, canonicalize,
+                       enumerate_rooted,
                        enumerate_topologies, format_rooted_newick,
                        from_arc_list, from_edge_list, is_canonical,
                        is_canonical_rooted, leaf_distance_matrix,
@@ -631,3 +633,178 @@ def reference_parse_rooted_newick(text):
         return RootedLabeledTree.build(nv, edges, names, root=0)
     except ValueError as exc:
         raise TreeFormatError(str(exc)) from None
+
+
+# ----------------------------------------------------------------------
+# graphs stored as an edge set plus adjacency, built eagerly
+# ----------------------------------------------------------------------
+
+class RefGraph(NamedTuple):
+    n: int
+    edges: frozenset
+    adj: tuple
+
+    @property
+    def m(self):
+        return len(self.edges)
+
+
+class RefOriented(NamedTuple):
+    n: int
+    arcs: frozenset
+    out_adj: tuple
+    in_adj: tuple
+
+    @property
+    def m(self):
+        return len(self.arcs)
+
+
+def reference_from_edge_list(n, pairs):
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    edges = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        edges.add((u, v) if u < v else (v, u))
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return RefGraph(n, frozenset(edges), tuple(frozenset(s) for s in adj))
+
+
+def reference_from_arc_list(n, pairs):
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    arcs = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        arcs.add((u, v))
+    for u, v in arcs:
+        if (v, u) in arcs:
+            raise ValueError(f"2-cycle between {u} and {v}")
+    out_adj = [set() for _ in range(n)]
+    in_adj = [set() for _ in range(n)]
+    for u, v in arcs:
+        out_adj[u].add(v)
+        in_adj[v].add(u)
+    return RefOriented(n, frozenset(arcs),
+                       tuple(frozenset(s) for s in out_adj),
+                       tuple(frozenset(s) for s in in_adj))
+
+
+def _reference_content_lines(text):
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        out.append((lineno, line))
+    return out
+
+
+def _reference_parse_pairs(text):
+    lines = _reference_content_lines(text)
+    if not lines:
+        raise GraphFormatError("empty input: expected a header line 'n m'")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise GraphFormatError(f"line {lineno}: header must be 'n m'")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphFormatError(
+            f"line {lineno}: header must be two integers") from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {lineno}: negative count in header")
+    body = lines[1:]
+    if len(body) != m:
+        raise GraphFormatError(
+            f"header announces {m} edge lines but {len(body)} found")
+    pairs = []
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {lineno}: endpoints must be integers") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {lineno}: endpoint out of range")
+        pairs.append((u, v))
+    return n, pairs
+
+
+def reference_parse_graph(text):
+    n, pairs = _reference_parse_pairs(text)
+    try:
+        return reference_from_edge_list(n, pairs)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
+def reference_parse_oriented(text):
+    n, pairs = _reference_parse_pairs(text)
+    try:
+        return reference_from_arc_list(n, pairs)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
+def reference_quotient(g, p):
+    """The quotient as the subgraph induced on the representatives of
+    the twin partition ``p``, rebuilt from the edge set."""
+    reps = p.representatives
+    new_id = {r: i for i, r in enumerate(reps)}
+    vertex_to_new = {}
+    for i, cls in enumerate(p.classes):
+        for v in cls:
+            vertex_to_new[v] = i
+    edges = [(new_id[u], new_id[v]) for u, v in g.edges
+             if u in new_id and v in new_id]
+    return reference_from_edge_list(len(reps), edges), vertex_to_new
+
+
+def reference_directed_quotient(d, p):
+    reps = p.representatives
+    new_id = {r: i for i, r in enumerate(reps)}
+    vertex_to_new = {}
+    for i, cls in enumerate(p.classes):
+        for v in cls:
+            vertex_to_new[v] = i
+    arcs = [(new_id[u], new_id[v]) for u, v in d.arcs
+            if u in new_id and v in new_id]
+    return reference_from_arc_list(len(reps), arcs), vertex_to_new
+
+
+def reference_induced_subgraph(g, keep):
+    vs = sorted(set(keep))
+    if any(v < 0 or v >= g.n for v in vs):
+        raise ValueError("vertex out of range")
+    new_id = {v: i for i, v in enumerate(vs)}
+    edges = [(new_id[u], new_id[v]) for u, v in g.edges
+             if u in new_id and v in new_id]
+    return reference_from_edge_list(len(vs), edges)
+
+
+def reference_underlying_graph(d):
+    return reference_from_edge_list(d.n, list(d.arcs))
+
+
+def assert_same_graph(g, ref):
+    assert (g.n, g.m, g.adj, g.edges) == (ref.n, ref.m, ref.adj, ref.edges)
+
+
+def assert_same_oriented(d, ref):
+    assert ((d.n, d.m, d.out_adj, d.in_adj, d.arcs)
+            == (ref.n, ref.m, ref.out_adj, ref.in_adj, ref.arcs))

@@ -17,9 +17,9 @@ from conftest import (all_labeled_graphs, all_labeled_oriented,
                       random_tree)
 from exact2rel import (EnumerationBudget, all_witnesses, canonicalize,
                        check_characterization, directed_quotient,
-                       directed_twin_partition, enumerate_rooted, explain,
-                       explainable_set, false_twin_partition, format_newick,
-                       from_arc_list, from_edge_list, induced_subgraph,
+                       enumerate_rooted, explain, explainable_set,
+                       format_newick, from_arc_list, from_edge_list,
+                       induced_subgraph,
                        is_block_graph, is_canonical, is_forest, parse_newick,
                        quotient, recognize, recognize_oriented,
                        rooted_explainable_set, underlying_graph, verify)
@@ -60,7 +60,7 @@ def test_c01_recognizer_quotient_and_search_agree(general_set):
     for n in range(1, N_MAX + 1):
         for g in all_labeled_graphs(n):
             fast = recognize(g).decision
-            q = quotient(g, false_twin_partition(g)).graph
+            q = quotient(g).graph
             assert fast == is_block_graph(q)
             assert fast == general_set.contains(g)
             checked += 1
@@ -152,8 +152,7 @@ def test_c06_oriented_class_is_quotient_arborescence_forests():
         EnumerationBudget(max_leaves=5, zero_discrete_only=True), 2)
 
     def check(d):
-        p = directed_twin_partition(d)
-        q, _ = directed_quotient(d, p)
+        q = directed_quotient(d).graph
         predicted = (is_forest(underlying_graph(q))
                      and all(len(q.in_adj[z]) <= 1 for z in range(q.n)))
         assert rs.contains(d) == predicted

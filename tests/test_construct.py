@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from conftest import (all_labeled_graphs, random_block_graph,
                       random_false_twin_blowup, random_graph, random_tree,
                       reference_verify)
-from exact2rel import (EnumerationBudget, LabeledTree, VerificationResult,
-                       blow_up, canonicalize, connected_components,
-                       construct_block_tree, construct_oriented, explain,
-                       explainable_set, false_twin_partition, format_newick,
-                       from_arc_list, from_edge_list, induced_subgraph,
-                       is_canonical, is_zero_discrete, join_components,
-                       leaf_distance_matrix, parse_newick, quotient, recognize,
-                       verify)
+from exact2rel import (EnumerationBudget, Graph, LabeledTree, OrientedGraph,
+                       VerificationResult, blow_up, canonicalize,
+                       connected_components, construct_block_tree,
+                       construct_oriented, explain, explainable_set,
+                       format_newick, from_arc_list, from_edge_list,
+                       induced_subgraph, is_canonical, is_zero_discrete,
+                       join_components, leaf_distance_matrix, parse_newick,
+                       quotient, recognize, recognize_oriented, verify)
 
 
 def P(n, pairs):
@@ -143,10 +143,9 @@ def test_join_components_two_cherries():
 
 def test_blow_up_cycle4():
     c4 = P(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    part = false_twin_partition(c4)
-    q = quotient(c4, part)
+    q = quotient(c4)
     tstar = construct_block_tree(q.graph)
-    t = canonicalize(blow_up(tstar, part, 2))
+    t = canonicalize(blow_up(tstar, q.partition, 2))
     assert explain(t, 2) == c4
     assert format_newick(t) == "(0:0,(1:0,3:0):2,2:0);"
 
@@ -275,3 +274,18 @@ def test_yes_paths_skip_the_all_pairs_comparison(monkeypatch):
     assert recognize(g).decision
     path = from_arc_list(10_000, [(v, v + 1) for v in range(9_999)])
     assert construct_oriented(path).n_leaves == 10_000
+
+
+def test_no_paths_never_build_the_edge_set(monkeypatch):
+    def refuse(self):
+        raise AssertionError("edge set built on a no path")
+
+    monkeypatch.setattr(Graph, "edges", property(refuse))
+    monkeypatch.setattr(OrientedGraph, "arcs", property(refuse))
+    cycle = from_edge_list(2000, [(v, (v + 1) % 2000) for v in range(2000)])
+    assert not recognize(cycle).decision
+    # a chain whose last vertex also has an arc from an extra source
+    in_star = from_arc_list(2001, [(v, v + 1) for v in range(1998)]
+                            + [(2000, 1999), (1998, 1999)])
+    out = recognize_oriented(in_star)
+    assert (out.decision, out.reason) == (False, "in-star")

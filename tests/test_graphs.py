@@ -2,10 +2,15 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import (all_labeled_graphs, naive_blocks, naive_cut_vertices,
-                      random_graph)
+from conftest import (all_labeled_graphs, all_labeled_oriented,
+                      assert_same_graph, assert_same_oriented, naive_blocks,
+                      naive_cut_vertices, random_graph,
+                      reference_directed_quotient, reference_from_arc_list,
+                      reference_from_edge_list, reference_induced_subgraph,
+                      reference_parse_graph, reference_parse_oriented,
+                      reference_quotient, reference_underlying_graph)
 from exact2rel import (GraphFormatError, are_isomorphic, block_decomposition,
                        connected_components, directed_quotient,
                        directed_twin_partition, false_twin_partition,
@@ -85,20 +90,22 @@ def test_quotient_of_quotient_is_discrete():
     # the quotient is always point-determining (twin-free)
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            q = quotient(g, false_twin_partition(g)).graph
+            q = quotient(g).graph
             assert false_twin_partition(q).is_discrete
 
 
-def test_quotient_rejects_foreign_partition():
-    c4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        quotient(c4, false_twin_partition(p4))
+def test_quotients_carry_their_twin_partition():
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            assert quotient(g).partition == false_twin_partition(g)
+    for n in range(1, 5):
+        for d in all_labeled_oriented(n):
+            assert directed_quotient(d).partition == directed_twin_partition(d)
 
 
 def test_quotient_identity_on_twin_free():
     p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    res = quotient(p4, false_twin_partition(p4))
+    res = quotient(p4)
     assert res.graph == p4
     assert res.vertex_to_new == {v: v for v in range(4)}
 
@@ -107,9 +114,9 @@ def test_directed_twins():
     d = from_arc_list(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
     p = directed_twin_partition(d)
     assert p.classes == ((0, 1), (2, 3))
-    q, mapping = directed_quotient(d, p)
-    assert set(q.arcs) == {(0, 1)}
-    assert mapping == {0: 0, 1: 0, 2: 1, 3: 1}
+    res = directed_quotient(d)
+    assert set(res.graph.arcs) == {(0, 1)}
+    assert res.vertex_to_new == {0: 0, 1: 0, 2: 1, 3: 1}
     # opposite arcs distinguish vertices that undirected twins would merge
     d2 = from_arc_list(3, [(0, 2), (2, 1)])
     assert directed_twin_partition(d2).is_discrete
@@ -209,17 +216,133 @@ def test_isomorphism_under_random_relabeling():
         assert are_isomorphic(g, h)
 
 
+# ----------------------------------------------------------------------
+# the builders, quotients and parser against the eager edge-set versions
+# in conftest
+# ----------------------------------------------------------------------
+
+def _check_undirected(n, pairs, keeps):
+    g = from_edge_list(n, pairs)
+    ref = reference_from_edge_list(n, pairs)
+    assert_same_graph(g, ref)
+    p = false_twin_partition(g)
+    res = quotient(g)
+    ref_q, ref_map = reference_quotient(ref, p)
+    assert_same_graph(res.graph, ref_q)
+    assert res.vertex_to_new == ref_map
+    for keep in keeps:
+        assert_same_graph(induced_subgraph(g, keep),
+                          reference_induced_subgraph(ref, keep))
+
+
+def _check_oriented(n, pairs):
+    d = from_arc_list(n, pairs)
+    ref = reference_from_arc_list(n, pairs)
+    assert_same_oriented(d, ref)
+    p = directed_twin_partition(d)
+    res = directed_quotient(d)
+    ref_q, ref_map = reference_directed_quotient(ref, p)
+    assert_same_oriented(res.graph, ref_q)
+    assert res.vertex_to_new == ref_map
+    assert_same_graph(underlying_graph(d), reference_underlying_graph(ref))
+
+
+def test_builders_match_reference_exhaustively():
+    for n in range(6):
+        subsets = [[v for v in range(n) if s >> v & 1] for s in range(1 << n)]
+        for g in all_labeled_graphs(n):
+            pairs = sorted(g.edges)
+            # reversed duplicates must merge
+            pairs += [(v, u) for u, v in pairs[::2]]
+            _check_undirected(n, pairs, subsets)
+    for n in range(5):
+        for d in all_labeled_oriented(n):
+            _check_oriented(n, sorted(d.arcs) + sorted(d.arcs)[::2])
+
+
+def _twin_classes(rng, n_classes):
+    """Shuffled vertex ids split into ``n_classes`` classes of 1-8."""
+    sizes = [rng.randint(1, 8) for _ in range(n_classes)]
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    out, at = [], 0
+    for s in sizes:
+        out.append(ids[at:at + s])
+        at += s
+    return out
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 37), st.sampled_from([0.05, 0.2, 0.5]),
+       st.randoms(use_true_random=False))
+def test_builders_match_reference_on_large_graphs(n_classes, density, rng):
+    """Up to 296 vertices in twin classes, so the quotients contract."""
+    classes = _twin_classes(rng, n_classes)
+    n = sum(map(len, classes))
+    pairs, arcs = [], []
+    for a, b in combinations(range(n_classes), 2):
+        if rng.random() < density:
+            pairs += [(x, y) for x in classes[a] for y in classes[b]]
+            if rng.random() < 0.5:
+                a, b = b, a
+            arcs += [(x, y) for x in classes[a] for y in classes[b]]
+    rng.shuffle(pairs)
+    rng.shuffle(arcs)
+    keeps = [rng.sample(range(n), rng.randint(0, n)) for _ in range(3)]
+    _check_undirected(n, pairs, keeps)
+    _check_oriented(n, arcs)
+
+
+@given(st.integers(-1, 6), st.lists(st.tuples(st.integers(-1, 6),
+                                              st.integers(-1, 6)),
+                                    max_size=12))
+def test_builders_reject_like_reference(n, pairs):
+    for build, reference, same in (
+            (from_edge_list, reference_from_edge_list, assert_same_graph),
+            (from_arc_list, reference_from_arc_list, assert_same_oriented)):
+        try:
+            want = reference(n, pairs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                build(n, pairs)
+            assert str(info.value) == str(exc)
+        else:
+            same(build(n, pairs), want)
+
+
+def test_two_cycle_named_like_reference_from_a_generator():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(5, 200)
+        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+        arcs = [(u, v) for u, v in arcs if u != v]
+        arcs += [(v, u) for u, v in rng.sample(arcs, 3)]
+        with pytest.raises(ValueError) as want:
+            reference_from_arc_list(n, (a for a in arcs))
+        with pytest.raises(ValueError) as got:
+            from_arc_list(n, (a for a in arcs))
+        assert str(got.value) == str(want.value)
+
+
 # Numbers stay small so that no fuzzed header asks for a huge graph.
 TOKENS = st.sampled_from(["0", "1", "2", "3", "12", "-1", "1.5", "x", "#",
-                          "0 1", "", "2 1\n0 1"])
+                          "0 1", "", "2 1\n0 1", "\r\n", "\x0c", "+1",
+                          "1_0", "\u0661", "#x"])
 SEPARATORS = st.sampled_from([" ", "\n", "\t", "  \n", "#c\n"])
 
 
 @given(st.lists(st.tuples(TOKENS, SEPARATORS), max_size=14))
 def test_parsers_raise_only_format_errors(parts):
+    """Either the same graph as the reference parser or the same error."""
     text = "".join(token + sep for token, sep in parts)
-    for parse in (parse_graph, parse_oriented):
+    for parse, reference, same in (
+            (parse_graph, reference_parse_graph, assert_same_graph),
+            (parse_oriented, reference_parse_oriented, assert_same_oriented)):
         try:
-            parse(text)
-        except GraphFormatError:
-            pass
+            want = reference(text)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as info:
+                parse(text)
+            assert str(info.value) == str(exc)
+        else:
+            same(parse(text), want)

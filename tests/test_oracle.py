@@ -119,6 +119,10 @@ def test_canonical_mask_is_relabeling_invariant():
 def test_class_counts():
     assert [len(all_graph_classes(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
     assert [len(all_oriented_classes(n)) for n in range(1, 5)] == [1, 2, 7, 42]
+    # built once per n and shared, so immutable
+    for classes in (all_graph_classes, all_oriented_classes):
+        assert classes(4) is classes(4)
+        assert isinstance(classes(4), tuple)
 
 
 def test_explainable_counts():
