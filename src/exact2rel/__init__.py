@@ -9,7 +9,7 @@ from .construct import (RecognitionOutcome, VerificationResult, blow_up,
                         verify)
 from .graphs import (BlockDecomposition, Graph, GraphFormatError,
                      OrientedGraph, QuotientResult, TwinPartition,
-                     are_isomorphic, block_decomposition,
+                     block_decomposition,
                      connected_components, directed_quotient,
                      directed_twin_partition, false_twin_partition,
                      find_cycle, format_graph, format_oriented,

@@ -11,16 +11,18 @@ numbered, and every quantity a kernel needs is a list of edge indices.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 
 USING_COMPILED = False  # kept for benchmark reports: no compiled kernel exists
 
 
-def _plan(paths: list[list[int]], n_edges: int
-          ) -> tuple[list[int], list[list[tuple[int, bool]]]]:
+@cache
+def _plan(paths: tuple[tuple[int, ...], ...], n_edges: int) -> tuple[
+        tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
     """An edge order that completes leaf-pair paths early: each next edge
     leaves the fewest pairs open (started, not complete), lowest index
-    first.  Per position: (pair through the edge, path complete there?)."""
+    first.  Per position: (pair through the edge, path complete there?).
+    Computed once per shape: every kernel call on it shares the plan."""
     through: list[list[int]] = [[] for _ in range(n_edges)]
     for p, path in enumerate(paths):
         for e in path:
@@ -28,18 +30,18 @@ def _plan(paths: list[list[int]], n_edges: int
     left = [len(path) for path in paths]
     opened: set[int] = set()
     order: list[int] = []
-    steps: list[list[tuple[int, bool]]] = []
+    steps: list[tuple[tuple[int, bool], ...]] = []
     todo = list(range(n_edges))
     while todo:
         e = min(todo, key=lambda e: len(opened.union(through[e]))
                 - sum(left[p] == 1 for p in through[e]))
         todo.remove(e)
         order.append(e)
-        steps.append([(p, left[p] == 1) for p in through[e]])
+        steps.append(tuple((p, left[p] == 1) for p in through[e]))
         for p in through[e]:
             left[p] -= 1
         opened = {p for p in opened.union(through[e]) if left[p]}
-    return order, steps
+    return tuple(order), tuple(steps)
 
 
 def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
@@ -61,7 +63,7 @@ def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
         k: relation level.
         zero_discrete: skip weightings placing two leaves at weight 0.
     """
-    order, steps = _plan(paths, len(min_w))
+    order, steps = _plan(tuple(map(tuple, paths)), len(min_w))
     cap = k + 1
     opened: list[int] = []  # the open pairs, in state order
     states = {(0,)}  # (mask, partial weight of each open pair, ...)
@@ -106,7 +108,7 @@ def matching_weightings(n_pairs: int, paths: list[list[int]],
         return []
     if not min_w:
         return [()]
-    order, steps = _plan(paths, len(min_w))
+    order, steps = _plan(tuple(map(tuple, paths)), len(min_w))
     low = [sum(min_w[e] for e in path) for path in paths]
     checks = []  # per position: (pair, related?, smallest rest, complete?)
     for e, step in zip(order, steps):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import dot, oracle
@@ -17,8 +18,8 @@ from .construct import recognize, verify
 from .graphs import (directed_quotient, format_graph, format_oriented,
                      parse_graph, parse_oriented, quotient)
 from .newick import format_newick, parse_newick, parse_rooted_newick
-from .rooted import (construct_oriented, directed_explain, enumerate_rooted,
-                     format_rooted_newick, recognize_oriented)
+from .rooted import (_decide, directed_explain, enumerate_rooted,
+                     format_rooted_newick)
 from .trees import canonicalize, explain
 
 
@@ -56,10 +57,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_recognize(args: argparse.Namespace) -> int:
     text = _read(args.graph)
     if args.oriented:
-        d = parse_oriented(text)
-        outcome = recognize_oriented(d)
+        outcome, tree = _decide(parse_oriented(text), build=True)
         if outcome.decision:
-            _emit(format_rooted_newick(construct_oriented(d)) + "\n", args.out)
+            _emit(format_rooted_newick(tree) + "\n", args.out)
             return 0
         certificate = " ".join(map(str, outcome.certificate))
         _emit(f"no ({outcome.reason})\ncertificate: {certificate}\n", args.out)
@@ -134,7 +134,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="exact2rel",
         description="Graphs as the exact-path-weight-2 relation on the "

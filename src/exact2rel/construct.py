@@ -4,17 +4,22 @@ weighted tree, and building witness trees when they do.
 The route: collapse false twins, test whether the quotient is a block
 graph (every maximal 2-connected piece a clique), build a tree per
 quotient component, join the components at safe distance, and re-expand
-the twin classes.  Leaf names are graph vertex ids as decimal strings.
+the twin classes.  ``recognize`` keeps the one block decomposition it
+checked, lays all three steps into one draft adjacency, and builds the
+witness once, as ``canonicalize`` ends; ``construct_block_tree``,
+``join_components`` and ``blow_up`` run the same steps one at a time.
+Leaf names are graph vertex ids as decimal strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .graphs import (Graph, TwinPartition, block_decomposition,
-                     connected_components, induced_subgraph, quotient)
-from .trees import (LabeledTree, canonicalize, certify_relation,
+                     connected_components, quotient)
+from .trees import (LabeledTree, _canonicalize, _compact, certify_relation,
                     leaf_distance_matrix)
 
 
@@ -52,6 +57,128 @@ class VerificationResult:
 # ======================================================================
 # Building blocks
 # ======================================================================
+# Each step adds to one draft tree.  ``recognize`` runs all three on one
+# draft and builds it once; each public function runs one of them on a
+# draft of its own input.
+
+class _Draft:
+    """A tree under construction: weighted adjacency and leaf names, with
+    fresh vertex ids handed out in increasing order."""
+
+    __slots__ = ("adj", "names", "nv")
+
+    def __init__(self) -> None:
+        self.adj: dict[int, dict[int, int]] = {}
+        self.names: dict[int, str] = {}
+        self.nv = 0
+
+    def vertex(self, name: str | None = None) -> int:
+        v = self.nv
+        self.nv += 1
+        self.adj[v] = {}
+        if name is not None:
+            self.names[v] = name
+        return v
+
+    def link(self, u: int, v: int, w: int) -> None:
+        self.adj[u][v] = w
+        self.adj[v][u] = w
+
+    def add_tree(self, t: LabeledTree) -> list[int]:
+        """Copy ``t`` in; returns the new ids of its vertices, in order."""
+        ids = [self.vertex(t.names.get(v)) for v in range(t.nv)]
+        for u, v, w in t.weighted_edges():
+            self.link(ids[u], ids[v], w)
+        return ids
+
+    def tree(self) -> LabeledTree:
+        return _compact(self.adj, self.names)
+
+
+def _block_stars(d: _Draft, blocks: Iterable[frozenset[int]],
+                 cut_vertices: frozenset[int], vs: list[int]
+                 ) -> tuple[list[int], list[int]]:
+    """Add the block tree of a connected block graph on the sorted
+    vertices ``vs``.  Returns the new draft vertices in id order and the
+    (unnamed) leaf standing for each vertex of ``vs``."""
+    start = d.nv
+    pos = {v: d.vertex() for v in vs}
+    for blk in blocks:
+        if len(blk) == 2:
+            a, b = sorted(blk)
+            d.link(pos[a], pos[b], 2)
+        else:
+            center = d.vertex()
+            for v in sorted(blk):
+                d.link(pos[v], center, 1)
+    leaves = []
+    for v in vs:
+        if v in cut_vertices:
+            leaf = d.vertex()
+            d.link(pos[v], leaf, 0)
+            leaves.append(leaf)
+        else:
+            leaves.append(pos[v])
+    return list(range(start, d.nv)), leaves
+
+
+def _anchor(d: _Draft, vs: list[int]) -> int:
+    """The vertex at which the tree on draft vertices ``vs`` (in id
+    order) joins the others: its first interior vertex; for a lone leaf
+    a fresh hub holding it on a 0-edge (the graph vertex must stay a
+    leaf); for a lone edge the midpoint splitting its weight in two."""
+    if len(vs) == 1:
+        hub = d.vertex()
+        d.link(hub, vs[0], 0)
+        return hub
+    if len(vs) == 2:
+        a, b = vs
+        w = d.adj[a].pop(b)
+        del d.adj[b][a]
+        mid = d.vertex()
+        d.link(a, mid, w - w // 2)
+        d.link(mid, b, w // 2)
+        return mid
+    return next(v for v in vs if len(d.adj[v]) >= 2)
+
+
+def _join(d: _Draft, parts: list[list[int]], k: int) -> None:
+    """String the anchors of the trees on ``parts`` on a path of
+    weight-(k+1) edges, in order."""
+    anchors = [_anchor(d, vs) for vs in parts]
+    for a, b in zip(anchors, anchors[1:]):
+        d.link(a, b, k + 1)
+
+
+def _blow_up(d: _Draft, leaves: list[int], members: list[tuple[str, ...]],
+             k: int) -> None:
+    """Put the members of each class where its leaf in ``leaves`` is, by
+    the rules of ``blow_up``."""
+    small = len(d.adj) <= 2  # no interior vertex to hang members from
+    for leaf, ms in zip(leaves, members):
+        d.names.pop(leaf, None)
+        if len(ms) == 1:
+            d.names[leaf] = ms[0]
+            continue
+        if small:  # the leaf turns hub, unless two members are alone
+            attach, w = leaf, 0
+            if len(d.adj) == 1 and len(ms) == 2:
+                d.names[leaf], ms = ms[0], ms[1:]
+        else:
+            ((q, lam),) = d.adj.pop(leaf).items()
+            del d.adj[q][leaf]
+            if 2 * lam != k:
+                attach, w = q, lam
+            else:
+                attach, w = d.vertex(), 0
+                d.link(q, attach, lam)
+        for s in ms:
+            d.link(attach, d.vertex(s), w)
+
+
+def _member_names(p: TwinPartition) -> list[tuple[str, ...]]:
+    return [tuple(map(str, cls)) for cls in p.classes]
+
 
 def construct_block_tree(g: Graph) -> LabeledTree:
     """Tree whose level-2 relation is a given connected block graph.
@@ -78,30 +205,11 @@ def construct_block_tree(g: Graph) -> LabeledTree:
         for u, v in combinations(sorted(blk), 2):
             if not g.has_edge(u, v):
                 raise ValueError("graph is not a block graph")
-
-    edges: list[tuple[int, int, int]] = []
-    names: dict[int, str] = {}
-    pos = list(range(g.n))  # tree vertex standing for each graph vertex
-    next_id = g.n
-
-    for blk in dec.blocks:
-        vs = sorted(blk)
-        if len(vs) == 2:
-            edges.append((pos[vs[0]], pos[vs[1]], 2))
-        else:
-            center = next_id
-            next_id += 1
-            for v in vs:
-                edges.append((pos[v], center, 1))
-    for v in range(g.n):
-        if v in dec.cut_vertices:
-            leaf = next_id
-            next_id += 1
-            edges.append((pos[v], leaf, 0))
-            names[leaf] = str(v)
-        else:
-            names[pos[v]] = str(v)
-    return LabeledTree.build(next_id, edges, names)
+    d = _Draft()
+    _, leaves = _block_stars(d, dec.blocks, dec.cut_vertices, list(range(g.n)))
+    for v, leaf in enumerate(leaves):
+        d.names[leaf] = str(v)
+    return d.tree()
 
 
 def join_components(trees: list[LabeledTree], k: int) -> LabeledTree:
@@ -124,40 +232,9 @@ def join_components(trees: list[LabeledTree], k: int) -> LabeledTree:
         raise ValueError("k must be >= 1")
     if len(trees) == 1:
         return trees[0]
-
-    edges: list[tuple[int, int, int]] = []
-    names: dict[int, str] = {}
-    anchors: list[int] = []
-    next_id = 0
-
-    for t in trees:
-        shift = next_id
-        remap = {v: shift + v for v in range(t.nv)}
-        next_id += t.nv
-        for u, v, w in t.weighted_edges():
-            edges.append((remap[u], remap[v], w))
-        for v, s in t.names.items():
-            names[remap[v]] = s
-
-        if t.n_leaves == 1:
-            hub = next_id
-            next_id += 1
-            edges.append((hub, remap[0], 0))
-            anchors.append(hub)
-        elif t.nv == 2:
-            mid = next_id
-            next_id += 1
-            (a, b, w) = t.weighted_edges()[0]
-            edges.remove((remap[a], remap[b], w))
-            edges.append((remap[a], mid, w - w // 2))
-            edges.append((mid, remap[b], w // 2))
-            anchors.append(mid)
-        else:
-            anchors.append(remap[min(t.interior_vertices())])
-
-    for a, b in zip(anchors, anchors[1:]):
-        edges.append((a, b, k + 1))
-    return LabeledTree.build(next_id, edges, names)
+    d = _Draft()
+    _join(d, [d.add_tree(t) for t in trees], k)
+    return d.tree()
 
 
 def blow_up(tstar: LabeledTree, p: TwinPartition, k: int) -> LabeledTree:
@@ -173,96 +250,18 @@ def blow_up(tstar: LabeledTree, p: TwinPartition, k: int) -> LabeledTree:
     For a non-trivial class at a leaf whose edge weighs w: if w != k/2
     the members become siblings on weight-w edges at the leaf's old
     neighbor; if w == k/2 they hang on 0-edges below a fresh hub placed
-    at weight w.  One- and two-leaf inputs are handled directly in the
-    same spirit.
+    at weight w.  In a tree of one or two vertices the leaf itself
+    becomes the hub (two members alone share one 0-edge).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if tstar.n_leaves != len(p.classes):
         raise ValueError("partition size does not match the tree's leaf count")
-
-    member_names = [tuple(str(v) for v in cls) for cls in p.classes]
-
-    if tstar.n_leaves == 1:
-        (ms,) = member_names
-        if len(ms) == 1:
-            return LabeledTree.build(1, [], {0: ms[0]})
-        if len(ms) == 2:
-            return LabeledTree.build(2, [(0, 1, 0)], {0: ms[0], 1: ms[1]})
-        edges = [(0, i + 1, 0) for i in range(len(ms))]
-        return LabeledTree.build(len(ms) + 1, edges,
-                                 {i + 1: s for i, s in enumerate(ms)})
-
-    if tstar.nv == 2:
-        (_, _, w) = tstar.weighted_edges()[0]
-        a, b = sorted(tstar.names.values())  # "0", "1"
-        ma = member_names[int(a)]
-        mb = member_names[int(b)]
-        if len(ma) == 1 and len(mb) == 1:
-            return LabeledTree.build(2, [(0, 1, w)], {0: ma[0], 1: mb[0]})
-        if len(ma) == 1 or len(mb) == 1:
-            single, group = (ma, mb) if len(ma) == 1 else (mb, ma)
-            # hub carries the group on 0-edges; the singleton sits at w
-            edges = [(0, 1, w)]
-            names = {1: single[0]}
-            nid = 2
-            for s in group:
-                edges.append((0, nid, 0))
-                names[nid] = s
-                nid += 1
-            return LabeledTree.build(nid, edges, names)
-        edges = [(0, 1, w)]
-        names: dict[int, str] = {}
-        nid = 2
-        for s in ma:
-            edges.append((0, nid, 0))
-            names[nid] = s
-            nid += 1
-        for s in mb:
-            edges.append((1, nid, 0))
-            names[nid] = s
-            nid += 1
-        return LabeledTree.build(nid, edges, names)
-
-    # general case: every leaf's neighbor is a non-leaf vertex
-    adj: dict[int, dict[int, int]] = {v: dict(tstar.adj[v]) for v in range(tstar.nv)}
-    names = {}
-    for v, s in tstar.names.items():
-        names[v] = s
-    next_id = tstar.nv
-
-    for i, ms in enumerate(member_names):
-        leaf = tstar.vertex_of(str(i))
-        if len(ms) == 1:
-            names[leaf] = ms[0]
-            continue
-        (q,) = adj[leaf].keys()
-        lam = adj[leaf][q]
-        del adj[q][leaf]
-        del adj[leaf]
-        del names[leaf]
-        if 2 * lam != k:
-            attach, w_leaf = q, lam
-        else:
-            hub = next_id
-            next_id += 1
-            adj[hub] = {}
-            adj[q][hub] = lam
-            adj[hub][q] = lam
-            attach, w_leaf = hub, 0
-        for s in ms:
-            nid = next_id
-            next_id += 1
-            adj[nid] = {attach: w_leaf}
-            adj[attach][nid] = w_leaf
-            names[nid] = s
-
-    verts = sorted(adj)
-    new_id = {v: i for i, v in enumerate(verts)}
-    out_edges = [(new_id[u], new_id[v], w) for u in adj
-                 for v, w in adj[u].items() if new_id[u] < new_id[v]]
-    out_names = {new_id[v]: s for v, s in names.items()}
-    return LabeledTree.build(len(verts), out_edges, out_names)
+    d = _Draft()
+    d.add_tree(tstar)
+    leaves = [tstar.vertex_of(str(i)) for i in range(len(p.classes))]
+    _blow_up(d, leaves, _member_names(p), k)
+    return d.tree()
 
 
 # ======================================================================
@@ -285,7 +284,9 @@ def verify(t: LabeledTree, g: Graph, k: int) -> VerificationResult:
     if want != have:
         diff = tuple(sorted(want.symmetric_difference(have)))
         return VerificationResult(False, diff, (), ())
-    pairs = [(t.vertex_of(str(u)), t.vertex_of(str(v))) for u, v in g.edges]
+    vertex = [t.vertex_of(str(v)) for v in range(g.n)]
+    pairs = [(vertex[u], vertex[v]) for u, nbrs in enumerate(g.adj)
+             for v in nbrs if u < v]
     if certify_relation(t, 0, pairs, k):
         return VerificationResult(True, (), (), ())
     dm = leaf_distance_matrix(t)
@@ -324,27 +325,35 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
     qres = quotient(g)
     p, q = qres.partition, qres.graph
     reps = p.representatives
+    dec = block_decomposition(q)
 
-    for blk in block_decomposition(q).blocks:
+    for blk in dec.blocks:
         vs = sorted(blk)
         if any(not q.has_edge(u, v) for u, v in combinations(vs, 2)):
             cert = tuple(sorted(reps[v] for v in vs))
             return RecognitionOutcome(False, None, cert)
 
-    comps = connected_components(q)
-    trees: list[LabeledTree] = []
-    for comp in comps:
-        vs = sorted(comp)
-        if len(vs) == 1:
-            trees.append(LabeledTree.build(1, [], {0: str(vs[0])}))
-            continue
-        sub = induced_subgraph(q, vs)
-        t = construct_block_tree(sub)
-        renamed = {v: str(vs[int(s)]) for v, s in t.names.items()}
-        trees.append(LabeledTree.build(t.nv, t.weighted_edges(), renamed))
-    joined = join_components(trees, k)
-    expanded = blow_up(joined, p, k)
-    witness = canonicalize(expanded) if expanded.n_leaves >= 2 else expanded
+    comps = [sorted(c) for c in connected_components(q)]
+    comp_of = [0] * q.n
+    for i, vs in enumerate(comps):
+        for v in vs:
+            comp_of[v] = i
+    blocks_of: list[list[frozenset[int]]] = [[] for _ in comps]
+    for blk in dec.blocks:
+        blocks_of[comp_of[min(blk)]].append(blk)
+
+    d = _Draft()
+    parts: list[list[int]] = []
+    leaf_of = [0] * q.n
+    for vs, blocks in zip(comps, blocks_of):
+        made, leaves = _block_stars(d, blocks, dec.cut_vertices, vs)
+        parts.append(made)
+        for v, leaf in zip(vs, leaves):
+            leaf_of[v] = leaf
+    if len(parts) > 1:
+        _join(d, parts, k)
+    _blow_up(d, leaf_of, _member_names(p), k)
+    witness = _canonicalize(d.adj, d.names)
 
     check = verify(witness, g, k)
     if not check.ok:

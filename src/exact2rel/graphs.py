@@ -1,7 +1,7 @@
 """Finite simple graphs and oriented graphs with the operations the
 recognition pipeline needs: twin partitions, quotients, connected
-components, block decomposition, induced subgraphs, isomorphism testing,
-and a line-oriented text format.
+components, block decomposition, induced subgraphs, and a
+line-oriented text format.
 
 Vertices are always the integers ``0 .. n-1``.  Adjacency sets are the
 stored form: a graph keeps each vertex's neighbor set, an oriented graph
@@ -374,7 +374,12 @@ def is_forest(g: Graph) -> bool:
 
 
 def find_cycle(g: Graph) -> list[int] | None:
-    """Vertices of some cycle in ``g``, or None if ``g`` is a forest."""
+    """Vertices of some cycle in ``g``, or None if ``g`` is a forest.
+
+    The depth-first search starts at the smallest vertex of each
+    component and takes each vertex's neighbors in increasing order, so
+    the cycle depends on ``g`` alone, not on the order it was built in.
+    """
     color = [0] * g.n
     parent: list[int | None] = [None] * g.n
     for s in range(g.n):
@@ -387,7 +392,7 @@ def find_cycle(g: Graph) -> list[int] | None:
                 continue
             color[v] = 1
             parent[v] = par
-            for w in g.adj[v]:
+            for w in sorted(g.adj[v]):
                 if w == par:
                     continue
                 if color[w]:
@@ -400,52 +405,6 @@ def find_cycle(g: Graph) -> list[int] | None:
                     return cycle
                 stack.append((w, v))
     return None
-
-
-# ======================================================================
-# Isomorphism
-# ======================================================================
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test by permutation search with degree pruning.
-
-    Intended for small graphs (n <= 8); cost grows factorially beyond
-    that.
-    """
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return False
-    # group h's vertices by degree so candidate images are restricted
-    deg_g = [g.degree(v) for v in range(g.n)]
-    deg_h = [h.degree(v) for v in range(h.n)]
-
-    order = sorted(range(g.n), key=lambda v: -deg_g[v])
-    used = [False] * h.n
-    image = [0] * g.n
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if used[w] or deg_h[w] != deg_g[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g.has_edge(u, v) != h.has_edge(image[u], w):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return extend(0)
 
 
 # ======================================================================

@@ -60,9 +60,6 @@ class EnumerationBudget:
 # Tree shapes
 # ======================================================================
 
-_TOPO_CACHE: dict[int, list[LabeledTree]] = {}
-
-
 def enumerate_topologies(n: int) -> list[LabeledTree]:
     """All tree shapes with ``n`` named leaves and interior degrees >= 3,
     each exactly once up to leaf-labeled isomorphism (weights all 0;
@@ -74,35 +71,35 @@ def enumerate_topologies(n: int) -> list[LabeledTree]:
     """
     if not 1 <= n <= 7:
         raise ValueError("leaf count must be in 1..7")
-    if n in _TOPO_CACHE:
-        return list(_TOPO_CACHE[n])
+    return list(_topologies(n))
+
+
+@cache
+def _topologies(n: int) -> tuple[LabeledTree, ...]:
     if n == 1:
-        result = [LabeledTree.build(1, [], {0: LETTERS[0]})]
-    elif n == 2:
-        result = [LabeledTree.build(2, [(0, 1, 0)], {0: "a", 1: "b"})]
-    else:
-        seen: dict[tuple, LabeledTree] = {}
-        new_name = LETTERS[n - 1]
-        for t in enumerate_topologies(n - 1):
-            base = t.weighted_edges()
-            for u, v, _ in base:
-                mid, leaf = t.nv, t.nv + 1
-                edges = [e for e in base if set(e[:2]) != {u, v}]
-                edges += [(u, mid, 0), (mid, v, 0), (mid, leaf, 0)]
-                names = dict(t.names)
-                names[leaf] = new_name
-                cand = LabeledTree.build(t.nv + 2, edges, names)
-                seen.setdefault(canonical_form(cand), cand)
-            for v in t.interior_vertices():
-                leaf = t.nv
-                edges = base + [(v, leaf, 0)]
-                names = dict(t.names)
-                names[leaf] = new_name
-                cand = LabeledTree.build(t.nv + 1, edges, names)
-                seen.setdefault(canonical_form(cand), cand)
-        result = [seen[key] for key in sorted(seen)]
-    _TOPO_CACHE[n] = result
-    return list(result)
+        return (LabeledTree.build(1, [], {0: LETTERS[0]}),)
+    if n == 2:
+        return (LabeledTree.build(2, [(0, 1, 0)], {0: "a", 1: "b"}),)
+    seen: dict[tuple, LabeledTree] = {}
+    new_name = LETTERS[n - 1]
+    for t in _topologies(n - 1):
+        base = t.weighted_edges()
+        for u, v, _ in base:
+            mid, leaf = t.nv, t.nv + 1
+            edges = [e for e in base if set(e[:2]) != {u, v}]
+            edges += [(u, mid, 0), (mid, v, 0), (mid, leaf, 0)]
+            names = dict(t.names)
+            names[leaf] = new_name
+            cand = LabeledTree.build(t.nv + 2, edges, names)
+            seen.setdefault(canonical_form(cand), cand)
+        for v in t.interior_vertices():
+            leaf = t.nv
+            edges = base + [(v, leaf, 0)]
+            names = dict(t.names)
+            names[leaf] = new_name
+            cand = LabeledTree.build(t.nv + 1, edges, names)
+            seen.setdefault(canonical_form(cand), cand)
+    return tuple(seen[key] for key in sorted(seen))
 
 
 @cache

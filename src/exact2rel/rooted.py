@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .graphs import (OrientedGraph, TwinPartition, connected_components,
-                     directed_quotient, find_cycle, from_arc_list,
-                     underlying_graph)
+from .graphs import (Graph, OrientedGraph, TwinPartition,
+                     connected_components, directed_quotient, find_cycle,
+                     from_arc_list, underlying_graph)
 from .newick import subtree_text
 from .trees import (LabeledTree, certify_relation, flat_form, is_canonical,
                     lowest_common_ancestors, subtree_key, tree_layout)
@@ -106,28 +106,6 @@ class RootedLabeledTree:
     def weighted_edges(self) -> list[tuple[int, int, int]]:
         return [(u, v, w) for u in range(self.nv)
                 for v, w in self.adj[u].items() if u < v]
-
-    def ancestors(self, v: int) -> list[int]:
-        """v itself, then each ancestor up to and including the root."""
-        out = [v]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])
-        return out
-
-    def up_weight(self, v: int, ancestor: int) -> int:
-        total = 0
-        while v != ancestor:
-            p = self.parent[v]
-            total += self.adj[v][p]
-            v = p
-        return total
-
-    def lca(self, a: int, b: int) -> int:
-        anc = set(self.ancestors(a))
-        x = b
-        while x not in anc:
-            x = self.parent[x]
-        return x
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RootedLabeledTree)
@@ -311,29 +289,7 @@ def recognize_oriented(d: OrientedGraph) -> OrientedOutcome:
     arc and is produced by a root with children a, b at weight 0 and
     c, d at weight 2.
     """
-    return _decide(d)[0]
-
-
-def _decide(d: OrientedGraph
-            ) -> tuple[OrientedOutcome, TwinPartition, OrientedGraph]:
-    """``recognize_oriented``'s outcome, with the directed twin partition
-    and the quotient it was read from."""
-    qres = directed_quotient(d)
-    p, q = qres.partition, qres.graph
-    reps = p.representatives
-    outcome = OrientedOutcome(True, None, "")
-    cyc = find_cycle(underlying_graph(q))
-    if cyc is not None:
-        outcome = OrientedOutcome(False, tuple(sorted(reps[v] for v in cyc)),
-                                  "cycle")
-    else:
-        for z in range(q.n):
-            if len(q.in_adj[z]) >= 2:
-                x, y = sorted(q.in_adj[z])[:2]
-                outcome = OrientedOutcome(False, (reps[x], reps[y], reps[z]),
-                                          "in-star")
-                break
-    return outcome, p, q
+    return _decide(d, build=False)[0]
 
 
 def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
@@ -351,13 +307,42 @@ def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
     Raises:
         ValueError: when recognition refuses ``d``.
     """
-    outcome, p, q = _decide(d)
-    if not outcome.decision:
+    outcome, t = _decide(d, build=True)
+    if t is None:
         raise ValueError(f"not explainable ({outcome.reason}): "
                          f"certificate {outcome.certificate}")
+    return t
+
+
+def _decide(d: OrientedGraph, build: bool
+            ) -> tuple[OrientedOutcome, RootedLabeledTree | None]:
+    """``recognize_oriented``'s outcome and, on yes when ``build`` is
+    set, ``construct_oriented``'s tree, from one directed quotient and
+    one underlying graph of it."""
+    qres = directed_quotient(d)
+    p, q = qres.partition, qres.graph
+    reps = p.representatives
+    u = underlying_graph(q)
+    cyc = find_cycle(u)
+    if cyc is not None:
+        return OrientedOutcome(False, tuple(sorted(reps[v] for v in cyc)),
+                               "cycle"), None
+    for z in range(q.n):
+        if len(q.in_adj[z]) >= 2:
+            x, y = sorted(q.in_adj[z])[:2]
+            return OrientedOutcome(False, (reps[x], reps[y], reps[z]),
+                                   "in-star"), None
+    return (OrientedOutcome(True, None, ""),
+            _construct(d, p, q, u) if build else None)
+
+
+def _construct(d: OrientedGraph, p: TwinPartition, q: OrientedGraph,
+               u: Graph) -> RootedLabeledTree:
+    """``construct_oriented`` from the partition, the quotient and its
+    underlying graph ``u`` that ``_decide`` accepted, self-checked."""
     members = p.classes  # by quotient vertex
     # quotient components, by smallest quotient vertex
-    comps = [sorted(c) for c in connected_components(underlying_graph(q))]
+    comps = [sorted(c) for c in connected_components(u)]
 
     edges: list[tuple[int, int, int]] = []
     names: dict[int, str] = {}
@@ -410,7 +395,9 @@ def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
             edges.append((root, rc, 3))
 
     t = RootedLabeledTree.build(next_id[0], edges, names, root=root)
-    arcs = [(t.vertex_of(str(x)), t.vertex_of(str(y))) for x, y in d.arcs]
+    vertex = [t.vertex_of(str(v)) for v in range(d.n)]
+    arcs = [(vertex[x], vertex[y]) for x, nbrs in enumerate(d.out_adj)
+            for y in nbrs]
     if not certify_relation(t, t.root, arcs, 2, directed=True):
         raise AssertionError("internal error: constructed tree does not "
                              "reproduce the input relation")

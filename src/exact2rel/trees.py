@@ -334,15 +334,20 @@ def canonicalize(t: LabeledTree) -> LabeledTree:
     """
     if t.n_leaves < 2:
         raise ValueError("canonicalize needs a tree with >= 2 leaves")
-    adj: dict[int, dict[int, int]] = {v: dict(t.adj[v]) for v in range(t.nv)}
-    names = dict(t.names)
+    return _canonicalize({v: dict(t.adj[v]) for v in range(t.nv)},
+                         dict(t.names))
 
+
+def _canonicalize(adj: dict[int, dict[int, int]],
+                  names: dict[int, str]) -> LabeledTree:
+    """``canonicalize`` on a mutable adjacency, consumed, then one
+    validated build of the result."""
     # One pass in id order.  A vertex is due when it has degree 2 or a
     # 0-edge to an interior neighbour.  No reduction makes a vertex due
     # that was not due before (a new interior 0-edge replaces one to the
     # removed vertex), so each step reduces the smallest due vertex and
     # the surviving ids do not depend on anything but the input.
-    for v in range(t.nv):
+    for v in sorted(adj):
         if v in names or v not in adj:
             continue
         nbrs = adj[v]

@@ -155,6 +155,48 @@ def random_directed_twin_blowup(rng, d, max_n=10):
 # naive references
 # ----------------------------------------------------------------------
 
+def are_isomorphic(g, h):
+    """Isomorphism test by permutation search with degree pruning.
+
+    Intended for small graphs (n <= 8); cost grows factorially beyond
+    that.
+    """
+    if g.n != h.n or g.m != h.m:
+        return False
+    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
+        return False
+    # group h's vertices by degree so candidate images are restricted
+    deg_g = [g.degree(v) for v in range(g.n)]
+    deg_h = [h.degree(v) for v in range(h.n)]
+
+    order = sorted(range(g.n), key=lambda v: -deg_g[v])
+    used = [False] * h.n
+    image = [0] * g.n
+
+    def extend(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in range(h.n):
+            if used[w] or deg_h[w] != deg_g[v]:
+                continue
+            ok = True
+            for j in range(i):
+                u = order[j]
+                if g.has_edge(u, v) != h.has_edge(image[u], w):
+                    ok = False
+                    break
+            if ok:
+                image[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return extend(0)
+
+
 def simple_cycle_edge_sets(g):
     """Edge sets of every simple cycle.  Exponential; tiny graphs only."""
     found = set()
@@ -243,9 +285,37 @@ def reference_verify(t, g, k):
                               tuple(sorted(extra)))
 
 
+def ancestors(t, v):
+    """v itself, then each ancestor up to and including the root of the
+    rooted tree ``t``."""
+    out = [v]
+    while t.parent[out[-1]] is not None:
+        out.append(t.parent[out[-1]])
+    return out
+
+
+def up_weight(t, v, ancestor):
+    """Weight of the path from ``v`` up to its ``ancestor`` in ``t``."""
+    total = 0
+    while v != ancestor:
+        p = t.parent[v]
+        total += t.adj[v][p]
+        v = p
+    return total
+
+
+def lca(t, a, b):
+    """Lowest common ancestor of ``a`` and ``b`` in the rooted tree ``t``."""
+    anc = set(ancestors(t, a))
+    x = b
+    while x not in anc:
+        x = t.parent[x]
+    return x
+
+
 def reference_directed_relation_pairs(t, k):
-    """``directed_relation_pairs`` pair by pair, through the rooted
-    tree's own ancestor queries."""
+    """``directed_relation_pairs`` pair by pair, through naive ancestor
+    walks."""
     out = set()
     names = t.leaf_names
     for a in names:
@@ -253,8 +323,8 @@ def reference_directed_relation_pairs(t, k):
             if a == b:
                 continue
             x, y = t.vertex_of(a), t.vertex_of(b)
-            m = t.lca(x, y)
-            if t.up_weight(x, m) == 0 and t.up_weight(y, m) == k:
+            m = lca(t, x, y)
+            if up_weight(t, x, m) == 0 and up_weight(t, y, m) == k:
                 out.add((a, b))
     return out
 

@@ -1,6 +1,9 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
-from exact2rel import cli
+from exact2rel import cli, graphs, rooted
 from exact2rel.cli import main
 
 C4 = "4 4\n0 1\n0 3\n1 2\n2 3\n"
@@ -177,3 +180,58 @@ def test_recognize_long_path(write, capsys, tmp_path):
     assert main(["recognize", graph, "--out", witness]) == 0
     assert main(["verify", witness, graph]) == 0
     assert capsys.readouterr().out == "OK\n"
+
+
+def _run(argv):
+    """Exit code (or the SystemExit code), stdout and stderr of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_answers_like_a_fresh_one(write, monkeypatch):
+    calls = [
+        ["recognize", write("c4.txt", C4)],
+        ["recognize", write("chain.txt", CHAIN), "--oriented"],
+        ["verify", write("t.nwk", "(0:2,1:0,(2:0,3:2):2);\n"),
+         write("g.txt", "4 2\n0 1\n1 2\n")],
+        ["recognize"],
+        ["recognize", write("bad.txt", "2 1\n0 5\n")],
+        ["recognize", write("tri.txt", TRIANGLE), "--oriented"],
+        ["recognize", write("c5.txt", C5)],
+    ]
+    shared = [_run(argv) for argv in calls + calls]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_run(argv) for argv in calls]
+    assert shared == fresh + fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 1, ("SystemExit", 2),
+                                              2, 1, 1]
+    assert fresh[3][2].startswith("usage: exact2rel recognize")
+
+
+def test_oriented_recognize_decides_once(write, monkeypatch):
+    """One directed quotient and one underlying graph per call, yes or no."""
+    calls = {"quotient": 0, "underlying": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, name in (("quotient", "directed_quotient"),
+                      ("underlying", "underlying_graph")):
+        wrapped = counted(key, getattr(graphs, name))
+        for mod in (graphs, rooted):
+            monkeypatch.setattr(mod, name, wrapped)
+    for text, code in ((CHAIN, 0), ("4 3\n0 1\n0 2\n2 3\n", 0),
+                       (TRIANGLE, 1), ("4 3\n0 1\n2 1\n3 2\n", 1)):
+        calls.update(quotient=0, underlying=0)
+        argv = ["recognize", write("d.txt", text), "--oriented"]
+        assert _run(argv)[0] == code
+        assert calls == {"quotient": 1, "underlying": 1}

@@ -9,7 +9,8 @@ from conftest import (all_labeled_graphs, random_block_graph,
                       random_false_twin_blowup, random_graph, random_tree,
                       reference_verify)
 from exact2rel import (EnumerationBudget, Graph, LabeledTree, OrientedGraph,
-                       VerificationResult, blow_up, canonicalize,
+                       VerificationResult, block_decomposition, blow_up,
+                       canonicalize,
                        connected_components, construct_block_tree,
                        construct_oriented, explain, explainable_set,
                        format_newick, from_arc_list, from_edge_list,
@@ -289,3 +290,38 @@ def test_no_paths_never_build_the_edge_set(monkeypatch):
                             + [(2000, 1999), (1998, 1999)])
     out = recognize_oriented(in_star)
     assert (out.decision, out.reason) == (False, "in-star")
+
+
+def test_recognize_decomposes_and_builds_once(monkeypatch):
+    """Per call: one block decomposition and one validated tree build on
+    a yes (none on a no), and no edge set built either way."""
+    calls = {"blocks": 0, "build": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    blocks = counted("blocks", block_decomposition)
+    monkeypatch.setattr("exact2rel.graphs.block_decomposition", blocks)
+    monkeypatch.setattr("exact2rel.construct.block_decomposition", blocks)
+    build = counted("build", LabeledTree.build.__func__)
+    monkeypatch.setattr(LabeledTree, "build", classmethod(build))
+    rng = random.Random(41)
+    cases = [P(1, []), P(2, []), P(3, []), P(2, [(0, 1)]), P(5, [(0, 1)]),
+             P(4, [(0, 1), (2, 3)]), P(5, [(0, 1), (1, 2), (2, 3), (3, 4)])]
+    for _ in range(30):
+        base = random_block_graph(rng, rng.randint(2, 12))
+        cases.append(random_false_twin_blowup(rng, base, max_n=20))
+    monkeypatch.setattr(Graph, "edges", property(
+        lambda self: pytest.fail("edge set built during recognition")))
+    for g in cases:
+        calls.update(blocks=0, build=0)
+        assert recognize(g).decision
+        assert calls == {"blocks": 1, "build": 1}
+    for g in (P(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+              P(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])):
+        calls.update(blocks=0, build=0)
+        assert not recognize(g).decision
+        assert calls == {"blocks": 1, "build": 0}

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (all_labeled_graphs, all_labeled_oriented,
-                      assert_same_graph, assert_same_oriented, naive_blocks,
-                      naive_cut_vertices, random_graph,
+                      are_isomorphic, assert_same_graph, assert_same_oriented,
+                      naive_blocks, naive_cut_vertices, random_graph,
                       reference_directed_quotient, reference_from_arc_list,
                       reference_from_edge_list, reference_induced_subgraph,
                       reference_parse_graph, reference_parse_oriented,
                       reference_quotient, reference_underlying_graph)
-from exact2rel import (GraphFormatError, are_isomorphic, block_decomposition,
+from exact2rel import (GraphFormatError, block_decomposition,
                        connected_components, directed_quotient,
                        directed_twin_partition, false_twin_partition,
                        find_cycle, format_graph, format_oriented,

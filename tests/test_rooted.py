@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (all_labeled_oriented, brute_force_rootings,
-                      random_arborescence_forest, random_canonical_tree,
+from conftest import (all_labeled_oriented, ancestors, brute_force_rootings,
+                      lca, random_arborescence_forest, random_canonical_tree,
                       random_directed_twin_blowup, random_rooted_tree,
-                      random_tree, reference_directed_relation_pairs)
+                      random_tree, reference_directed_relation_pairs,
+                      up_weight)
 from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize, construct_oriented, directed_explain,
                        directed_relation_pairs, directed_twin_partition,
                        enumerate_rooted, enumerate_topologies,
                        format_rooted_newick, from_arc_list,
                        is_canonical_rooted, is_zero_discrete, parse_newick,
-                       parse_rooted_newick, recognize_oriented,
+                       parse_oriented, parse_rooted_newick, recognize_oriented,
                        underlying_tree)
 from exact2rel.trees import certify_relation
 
@@ -37,11 +38,11 @@ def test_build_rejects_missing_leaf_name():
 def test_ancestor_queries():
     t = parse_rooted_newick("(a:1,(b:0,c:2):3);")
     a, b, c = (t.vertex_of(s) for s in "abc")
-    assert t.lca(b, c) == t.parent[b]
-    assert t.lca(a, c) == t.root
-    assert t.up_weight(c, t.root) == 5
-    assert t.up_weight(b, t.lca(b, c)) == 0
-    assert t.ancestors(a) == [a, t.root]
+    assert lca(t, b, c) == t.parent[b]
+    assert lca(t, a, c) == t.root
+    assert up_weight(t, c, t.root) == 5
+    assert up_weight(t, b, lca(t, b, c)) == 0
+    assert ancestors(t, a) == [a, t.root]
 
 
 def test_directed_relation_chain():
@@ -264,3 +265,26 @@ def test_construct_oriented_certificate_on_all_small_digraphs():
                 for pair in others:
                     assert not certify_relation(t, t.root, rest + [pair], 2,
                                                 directed=True)
+
+
+def test_cycle_certificate_ignores_line_order():
+    """Oriented graphs with several underlying cycles, read from their arc
+    lines in sorted and in shuffled order: the same outcome every time."""
+    rng = random.Random(2718)
+    cycles = 0
+    for _ in range(40):
+        n = rng.randint(10, 300)
+        arcs = set()
+        while len(arcs) < n + rng.randint(2, 8):
+            u, v = rng.sample(range(n), 2)
+            if (v, u) not in arcs:
+                arcs.add((u, v))
+        lines = [f"{u} {v}\n" for u, v in sorted(arcs)]
+        want = recognize_oriented(parse_oriented(f"{n} {len(arcs)}\n"
+                                                 + "".join(lines)))
+        cycles += want.reason == "cycle"
+        for _ in range(5):
+            rng.shuffle(lines)
+            text = f"{n} {len(arcs)}\n" + "".join(lines)
+            assert recognize_oriented(parse_oriented(text)) == want
+    assert cycles >= 30
