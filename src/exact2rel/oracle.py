@@ -8,7 +8,11 @@ code with the recognition pipeline: graphs are handled as bitmasks over
 vertex pairs, the kernels in ``_kernel`` sum weights over flat edge-index
 lists, and isomorphism reduction is a minimum over all vertex
 permutations, taken once per orbit; as it closes over relabelings, the
-explainable sets call their kernel once per unlabeled shape.
+explainable sets call their kernel once per unlabeled shape.  What a
+kernel needs of a shape is prepared once per process, per leaf count:
+the unlabeled shapes for the explainable sets, the labeled topologies
+for ``all_witnesses``, which assembles each witness from its topology's
+edges and weights without re-validating the tree.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
@@ -118,100 +123,137 @@ def unlabeled_shapes(n: int) -> tuple[LabeledTree, ...]:
 # Shape preprocessing for the kernels
 # ======================================================================
 
-@dataclass
+@dataclass(frozen=True)
 class _Shape:
-    edges: list[tuple[int, int]]
-    paths: list[list[int]]
-    min_w_canonical: list[int]
-    min_w_free: list[int]
-    interior_roots: list[list[list[int]]]
-    edge_roots: list[tuple[bool, bool, list[int], list[list[int]]]]
+    edges: tuple[tuple[int, int], ...]
+    # per vertex, (neighbour, edge index) in the order of ``edges``
+    nbrs: tuple[tuple[tuple[int, int], ...], ...]
+    paths: tuple[tuple[int, ...], ...]
+    min_w_canonical: tuple[int, ...]
+    min_w_free: tuple[int, ...]
+    interior_roots: tuple[tuple[tuple[int, ...], ...], ...]
+    edge_roots: tuple[tuple[bool, bool, tuple[int, ...],
+                            tuple[tuple[int, ...], ...]], ...]
 
 
 def _prepare(t: LabeledTree) -> _Shape:
     names = t.leaf_names
     leaves = [t.vertex_of(s) for s in names]
     n = len(leaves)
-    edges = [(u, v) for u, v, _ in t.weighted_edges()]
+    edges = tuple((u, v) for u, v, _ in t.weighted_edges())
     adj_e: list[list[tuple[int, int]]] = [[] for _ in range(t.nv)]
     for i, (u, v) in enumerate(edges):
         adj_e[u].append((v, i))
         adj_e[v].append((u, i))
 
-    def paths_from(src: int) -> list[list[int]]:
-        path: list[list[int] | None] = [None] * t.nv
-        path[src] = []
+    def paths_from(src: int) -> list[tuple[int, ...]]:
+        path: list[tuple[int, ...] | None] = [None] * t.nv
+        path[src] = ()
         stack = [src]
         while stack:
             x = stack.pop()
             for y, e in adj_e[x]:
                 if path[y] is None:
-                    path[y] = path[x] + [e]
+                    path[y] = path[x] + (e,)
                     stack.append(y)
         return path  # type: ignore[return-value]
 
     from_leaf = [paths_from(v) for v in leaves]
-    pairs = list(combinations(range(n), 2))
-    paths = [from_leaf[i][leaves[j]] for i, j in pairs]
+    paths = tuple(from_leaf[i][leaves[j]]
+                  for i, j in combinations(range(n), 2))
 
     is_leaf = [len(t.adj[v]) <= 1 for v in range(t.nv)]
-    min_w_canonical = [0 if is_leaf[u] or is_leaf[v] else 1 for u, v in edges]
+    min_w_canonical = tuple(0 if is_leaf[u] or is_leaf[v] else 1
+                            for u, v in edges)
 
-    interior_roots = [[from_leaf[x][r] for x in range(n)]
-                      for r in t.interior_vertices()]
+    interior_roots = tuple(tuple(from_leaf[x][r] for x in range(n))
+                           for r in t.interior_vertices())
     edge_roots = []
     for i, (u, v) in enumerate(edges):
-        side = [1 if i not in from_leaf[x][u] else 0 for x in range(n)]
+        side = tuple(1 if i not in from_leaf[x][u] else 0 for x in range(n))
         # a leaf is on the u side exactly when its path to u avoids (u,v)
-        near = [from_leaf[x][u] if side[x] else from_leaf[x][v]
-                for x in range(n)]
+        near = tuple(from_leaf[x][u] if side[x] else from_leaf[x][v]
+                     for x in range(n))
         edge_roots.append((is_leaf[u], is_leaf[v], side, near))
-    return _Shape(edges, paths, min_w_canonical, [0] * len(edges),
-                  interior_roots, edge_roots)
+    return _Shape(edges, tuple(map(tuple, adj_e)), paths, min_w_canonical,
+                  (0,) * len(edges), interior_roots, tuple(edge_roots))
 
 
-def _tree_with_weights(t: LabeledTree, shape: _Shape,
-                       weights: tuple[int, ...],
-                       rename: dict[str, str] | None = None) -> LabeledTree:
-    edges = [(u, v, weights[i]) for i, (u, v) in enumerate(shape.edges)]
-    names = t.names
-    if rename is not None:
-        names = {v: rename[s] for v, s in t.names.items()}
-    return LabeledTree.build(t.nv, edges, names)
+@cache
+def _shapes(n: int) -> tuple[_Shape, ...]:
+    """The prepared unlabeled shapes with ``n`` leaves, which the
+    explainable sets walk."""
+    return tuple(map(_prepare, unlabeled_shapes(n)))
+
+
+class _Labeled(NamedTuple):
+    """A labeled topology as ``all_witnesses`` walks it: its shape, its
+    leaf names as graph vertices ("0" for a, "1" for b, ...), and its
+    sort key as constants and weight slots (see ``_labeled``)."""
+
+    shape: _Shape
+    names: tuple[tuple[int, str], ...]
+    consts: tuple[int, ...]
+    key: itemgetter  # applied to the weights followed by ``consts``
+
+
+@cache
+def _labeled(n: int) -> tuple[_Labeled, ...]:
+    """The labeled topologies with ``n`` leaves, prepared for
+    ``all_witnesses``.
+
+    Siblings in ``canonical_form`` are sorted by their smallest leaf
+    names, which are distinct, so all weightings of one topology share
+    one nesting with a slot per edge weight: the form of the topology
+    with weight ``-1 - e`` on edge ``e``.  It is flattened once, each
+    (one-character) string as its code point and each tuple closed by
+    -1, below every other token, so that flat keys sort as the nested
+    forms do."""
+    out = []
+    for t in _topologies(n):
+        sh = _prepare(t)
+        names = tuple((v, str(LETTERS.index(s))) for v, s in t.names.items())
+        slots = tuple({y: -1 - e for y, e in nb} for nb in sh.nbrs)
+        consts: list[int] = []
+        index: list[int] = []
+        stack: list = [canonical_form(LabeledTree(t.nv, slots, dict(names)))]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, tuple):
+                stack += [None, *reversed(x)]
+            elif isinstance(x, int):
+                index.append(-1 - x)
+            else:
+                index.append(len(sh.edges) + len(consts))
+                consts.append(-1 if x is None else ord(x))
+        out.append(_Labeled(sh, names, tuple(consts), itemgetter(*index)))
+    return tuple(out)
 
 
 # ======================================================================
 # Isomorphism-class bookkeeping via bitmasks
 # ======================================================================
 
-_PAIR_MAPS: dict[int, list[list[int]]] = {}
-_ARC_MAPS: dict[int, list[list[int]]] = {}
+@cache
+def _pair_maps(n: int) -> tuple[tuple[int, ...], ...]:
+    pairs = list(combinations(range(n), 2))
+    index = {pr: i for i, pr in enumerate(pairs)}
+    return tuple(tuple(index[tuple(sorted((perm[a], perm[b])))]
+                       for a, b in pairs)
+                 for perm in permutations(range(n)))
 
 
-def _pair_maps(n: int) -> list[list[int]]:
-    if n not in _PAIR_MAPS:
-        pairs = list(combinations(range(n), 2))
-        index = {pr: i for i, pr in enumerate(pairs)}
-        maps = []
-        for perm in permutations(range(n)):
-            maps.append([index[tuple(sorted((perm[a], perm[b])))]
-                         for a, b in pairs])
-        _PAIR_MAPS[n] = maps
-    return _PAIR_MAPS[n]
-
-
-def _arc_maps(n: int) -> list[list[int]]:
-    if n not in _ARC_MAPS:
-        maps = []
-        for perm in permutations(range(n)):
-            remap = [0] * (n * n)
-            for x in range(n):
-                for y in range(n):
-                    if x != y:
-                        remap[x * n + y] = perm[x] * n + perm[y]
-            maps.append(remap)
-        _ARC_MAPS[n] = maps
-    return _ARC_MAPS[n]
+@cache
+def _arc_maps(n: int) -> tuple[tuple[int, ...], ...]:
+    maps = []
+    for perm in permutations(range(n)):
+        remap = [0] * (n * n)
+        for x in range(n):
+            for y in range(n):
+                if x != y:
+                    remap[x * n + y] = perm[x] * n + perm[y]
+        maps.append(tuple(remap))
+    return tuple(maps)
 
 
 def graph_to_mask(g: Graph) -> int:
@@ -228,7 +270,7 @@ def mask_to_graph(n: int, mask: int) -> Graph:
     return from_edge_list(n, edges)
 
 
-def _images(mask: int, remaps: list[list[int]]) -> Iterator[int]:
+def _images(mask: int, remaps: tuple[tuple[int, ...], ...]) -> Iterator[int]:
     """The image of ``mask`` under each bit remap, in order."""
     for remap in remaps:
         x = 0
@@ -272,7 +314,8 @@ def canonical_arc_mask(d: OrientedGraph) -> int:
     return canonical_arc_mask_of(oriented_to_mask(d), d.n)
 
 
-def _orbit_minima(masks: Iterable[int], remaps: list[list[int]]) -> set[int]:
+def _orbit_minima(masks: Iterable[int],
+                  remaps: tuple[tuple[int, ...], ...]) -> set[int]:
     """The smallest image of every orbit that ``masks`` meets: each orbit
     is generated once, at its first mask, and marked seen as a whole."""
     seen: set[int] = set()
@@ -341,8 +384,7 @@ def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
     out: dict[int, frozenset[int]] = {}
     for n in range(1, budget.max_leaves + 1):
         acc: set[int] = set()
-        for topo in unlabeled_shapes(n):
-            shape = _prepare(topo)
+        for shape in _shapes(n):
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
             acc |= enumerate_relation_masks(
@@ -354,25 +396,26 @@ def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
 
 def all_witnesses(g: Graph, budget: EnumerationBudget, k: int) -> list[LabeledTree]:
     """Every tree within budget whose level-``k`` relation is exactly
-    ``g`` (leaves named after its vertices), deduplicated; sorted
-    deterministically.  Empty when ``g.n`` exceeds the budget."""
+    ``g`` (leaves named after its vertices), each weighting of each
+    labeled topology once, sorted by ``canonical_form``.  Empty when
+    ``g.n`` exceeds the budget."""
     budget.validate(k)
     if g.n == 0 or g.n > budget.max_leaves:
         return []
     W = budget.resolve_weight(k)
     target = graph_to_mask(g)
-    rename = {LETTERS[i]: str(i) for i in range(g.n)}
-    found: dict[tuple, LabeledTree] = {}
-    for topo in enumerate_topologies(g.n):
-        shape = _prepare(topo)
-        min_w = (shape.min_w_canonical if budget.canonical_only
-                 else shape.min_w_free)
-        for wvec in matching_weightings(len(shape.paths), shape.paths, min_w,
-                                        W, k, budget.zero_discrete_only,
-                                        target):
-            t = _tree_with_weights(topo, shape, wvec, rename)
-            found.setdefault(canonical_form(t), t)
-    return [found[key] for key in sorted(found)]
+    found: list[tuple[tuple, LabeledTree]] = []
+    for lt in _labeled(g.n):
+        sh = lt.shape
+        min_w = sh.min_w_canonical if budget.canonical_only else sh.min_w_free
+        for w in matching_weightings(len(sh.paths), sh.paths, min_w, W, k,
+                                     budget.zero_discrete_only, target):
+            # the topology is a valid tree: no re-validating build
+            adj = tuple([{y: w[e] for y, e in nb} for nb in sh.nbrs])
+            found.append((lt.key(w + lt.consts),
+                           LabeledTree(len(adj), adj, dict(lt.names))))
+    found.sort(key=itemgetter(0))
+    return [t for _, t in found]
 
 
 def rooted_explainable_set(budget: EnumerationBudget,
@@ -387,8 +430,7 @@ def rooted_explainable_set(budget: EnumerationBudget,
     out: dict[int, frozenset[int]] = {1: frozenset({0})}
     for n in range(2, budget.max_leaves + 1):
         acc: set[int] = set()
-        for topo in unlabeled_shapes(n):
-            shape = _prepare(topo)
+        for shape in _shapes(n):
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
             acc |= enumerate_rooted_arc_masks(

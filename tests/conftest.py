@@ -16,10 +16,11 @@ from exact2rel import (GraphFormatError, LabeledTree, RootedLabeledTree,
                        is_canonical_rooted, leaf_distance_matrix,
                        underlying_tree)
 from exact2rel._kernel import (enumerate_relation_masks,
-                               enumerate_rooted_arc_masks)
+                               enumerate_rooted_arc_masks, matching_weightings)
 from exact2rel.newick import _Parser
-from exact2rel.oracle import _arc_maps, _orbit_minima, _pair_maps, _prepare
-from exact2rel.trees import _compact
+from exact2rel.oracle import (LETTERS, _arc_maps, _orbit_minima, _pair_maps,
+                              _prepare, graph_to_mask)
+from exact2rel.trees import _compact, canonical_form
 
 
 def all_labeled_graphs(n):
@@ -496,6 +497,39 @@ def reference_explainable_masks(budget, k, rooted=False):
         remaps = _arc_maps(n) if rooted else _pair_maps(n)
         out[n] = frozenset(_orbit_minima(acc, remaps))
     return out
+
+
+def _tree_with_weights(t, shape, weights, rename=None):
+    """The topology ``t`` with weight ``weights[i]`` on edge ``i`` of its
+    prepared ``shape``, leaves renamed by ``rename``, built validated."""
+    edges = [(u, v, weights[i]) for i, (u, v) in enumerate(shape.edges)]
+    names = t.names
+    if rename is not None:
+        names = {v: rename[s] for v, s in t.names.items()}
+    return LabeledTree.build(t.nv, edges, names)
+
+
+def reference_all_witnesses(g, budget, k):
+    """``all_witnesses`` as it was before the shapes were cached: one
+    ``_prepare`` per topology per call, one validated tree and one
+    ``canonical_form`` per weighting, sorted by that form."""
+    budget.validate(k)
+    if g.n == 0 or g.n > budget.max_leaves:
+        return []
+    W = budget.resolve_weight(k)
+    target = graph_to_mask(g)
+    rename = {LETTERS[i]: str(i) for i in range(g.n)}
+    found = {}
+    for topo in enumerate_topologies(g.n):
+        shape = _prepare(topo)
+        min_w = (shape.min_w_canonical if budget.canonical_only
+                 else shape.min_w_free)
+        for wvec in matching_weightings(len(shape.paths), shape.paths, min_w,
+                                        W, k, budget.zero_discrete_only,
+                                        target):
+            t = _tree_with_weights(topo, shape, wvec, rename)
+            found.setdefault(canonical_form(t), t)
+    return [found[key] for key in sorted(found)]
 
 
 def brute_force_rootings(t: LabeledTree):

@@ -16,12 +16,12 @@ from itertools import product
 
 import pytest
 
-from conftest import (pair_index_of, reference_matching_weightings,
+from conftest import (_tree_with_weights, pair_index_of,
+                      reference_matching_weightings,
                       reference_rooted_arc_masks)
 from exact2rel._kernel import (enumerate_relation_masks,
                                enumerate_rooted_arc_masks, matching_weightings)
-from exact2rel.oracle import (_prepare, _tree_with_weights,
-                              enumerate_topologies, graph_to_mask,
+from exact2rel.oracle import (_prepare, enumerate_topologies, graph_to_mask,
                               oriented_to_mask, unlabeled_shapes)
 from exact2rel.rooted import RootedLabeledTree, directed_explain
 from exact2rel.trees import explain, is_zero_discrete

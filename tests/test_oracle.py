@@ -4,16 +4,18 @@ from itertools import permutations
 import pytest
 
 from conftest import (all_labeled_graphs, count_topologies_reference,
-                      random_graph, reference_explainable_masks)
+                      random_graph, reference_all_witnesses,
+                      reference_explainable_masks)
 from exact2rel import (EnumerationBudget, all_witnesses,
                        check_characterization, enumerate_topologies,
                        explainable_set, format_newick,
                        format_report, from_arc_list, from_edge_list,
                        induced_subgraph, is_canonical, recognize,
                        rooted_explainable_set, verify)
-from exact2rel.oracle import (all_graph_classes, all_oriented_classes,
-                              canonical_mask_of, graph_to_mask, mask_to_graph,
-                              unlabeled_shapes)
+from exact2rel.oracle import (_labeled, _prepare, _shapes,
+                              _topologies, all_graph_classes,
+                              all_oriented_classes, canonical_mask_of,
+                              graph_to_mask, mask_to_graph, unlabeled_shapes)
 from exact2rel.trees import LabeledTree, canonical_form
 
 C4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -211,18 +213,82 @@ def test_no_witnesses_for_long_cycles():
     assert all_witnesses(c6, b6, 2) == []
 
 
+def recognition_graphs():
+    """40 random graphs with 1-5 vertices; the second is edgeless on 5,
+    whose 85 473 witnesses span every 5-leaf topology."""
+    rng = random.Random(41)
+    return [random_graph(rng, rng.randint(1, 5), rng.random())
+            for _ in range(40)]
+
+
 def test_witnesses_match_recognition():
     b = EnumerationBudget(max_leaves=5)
-    rng = random.Random(41)
-    graphs = [random_graph(rng, rng.randint(1, 5), rng.random())
-              for _ in range(40)]
-    for g in graphs:
+    for g in recognition_graphs():
         ws = all_witnesses(g, b, 2)
         assert bool(ws) == recognize(g).decision
         for t in ws:
             assert is_canonical(t)
             assert verify(t, g, 2).ok
         assert len({format_newick(t) for t in ws}) == len(ws)
+
+
+def same_trees(xs, ys):
+    """The same trees in the same order, vertex numbering included (a
+    stricter test than ``==``, which compares canonical forms)."""
+    return len(xs) == len(ys) and all(
+        x.nv == y.nv and x.adj == y.adj and x.names == y.names
+        for x, y in zip(xs, ys))
+
+
+def test_witnesses_equal_the_reference_on_small_graphs():
+    """Every labeled graph with at most 4 vertices, canonical and free
+    weights, with and without zero-discrete: the same trees in the same
+    order as the validated build sorted by ``canonical_form``."""
+    for canonical in (True, False):
+        for zd in (False, True):
+            b = EnumerationBudget(4, None, canonical, zd)
+            for n in range(5):
+                for g in all_labeled_graphs(n):
+                    assert same_trees(all_witnesses(g, b, 2),
+                                      reference_all_witnesses(g, b, 2))
+
+
+def test_witnesses_equal_the_reference_on_random_graphs():
+    b = EnumerationBudget(max_leaves=5)
+    graphs = recognition_graphs()
+    assert (graphs[1].n, graphs[1].m) == (5, 0)
+    for g in graphs:
+        assert same_trees(all_witnesses(g, b, 2),
+                          reference_all_witnesses(g, b, 2))
+
+
+def test_prepared_shapes_are_immutable_and_stable():
+    """The per-process caches hold tuples only, one entry per topology
+    (or unlabeled shape) of their own leaf count, equal to a fresh
+    ``_prepare``; calls leave them as they were and repeat their answer."""
+    def tuples_only(x):
+        return (isinstance(x, (int, str, type(None)))
+                or isinstance(x, tuple) and all(map(tuples_only, x)))
+
+    before = {n: [_prepare(t) for t in _topologies(n)] for n in range(1, 6)}
+    b = EnumerationBudget(5, None, False, False)
+    graphs = [from_edge_list(n, [(0, 1)] if n > 1 else [])
+              for n in range(1, 6)]
+    first = [all_witnesses(g, b, 2) for g in graphs]
+    explainable_set(b, 2)
+    rooted_explainable_set(EnumerationBudget(4), 2)
+    for g, ws in zip(graphs, first):
+        assert same_trees(all_witnesses(g, b, 2), ws)
+    for n in range(1, 6):
+        labeled = _labeled(n)
+        assert [lt.shape for lt in labeled] == before[n]
+        assert [_prepare(t) for t in _topologies(n)] == before[n]
+        assert all(t.n_leaves == n for t in _topologies(n))
+        assert list(_shapes(n)) == [_prepare(t) for t in unlabeled_shapes(n)]
+        for lt in labeled:
+            assert tuples_only((lt.names, lt.consts))
+        for sh in [lt.shape for lt in labeled] + list(_shapes(n)):
+            assert all(tuples_only(v) for v in vars(sh).values())
 
 
 def test_rooted_set_counts_and_membership():
