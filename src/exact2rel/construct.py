@@ -19,8 +19,7 @@ from typing import Iterable
 
 from .graphs import (Graph, TwinPartition, block_decomposition,
                      connected_components, quotient)
-from .trees import (LabeledTree, _canonicalize, _compact, certify_relation,
-                    leaf_distance_matrix)
+from .trees import LabeledTree, _canonicalize, _compact, relation_pairs
 
 
 @dataclass(frozen=True)
@@ -273,9 +272,10 @@ def verify(t: LabeledTree, g: Graph, k: int) -> VerificationResult:
 
     Tree leaves must be named "0" .. "n-1" matching the graph's
     vertices; otherwise the result reports the name mismatch and fails.
-    A linear-time counting certificate (``certify_relation``) decides;
-    only when it fails are all leaf pairs compared, to list the missing
-    and extra ones.
+    The related leaf pairs are listed once (``relation_pairs``, linear
+    in the tree and the pairs); they are the graph's edges when each is
+    an edge and there are ``g.m`` of them.  Otherwise ``missing`` and
+    ``extra`` are the two set differences.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -284,25 +284,15 @@ def verify(t: LabeledTree, g: Graph, k: int) -> VerificationResult:
     if want != have:
         diff = tuple(sorted(want.symmetric_difference(have)))
         return VerificationResult(False, diff, (), ())
-    vertex = [t.vertex_of(str(v)) for v in range(g.n)]
-    pairs = [(vertex[u], vertex[v]) for u, nbrs in enumerate(g.adj)
-             for v in nbrs if u < v]
-    if certify_relation(t, 0, pairs, k):
+    graph_vertex = {x: int(s) for x, s in t.names.items()}
+    pairs = [(graph_vertex[x], graph_vertex[y])
+             for x, y in relation_pairs(t, 0, k)]
+    if len(pairs) == g.m and all(v in g.adj[u] for u, v in pairs):
         return VerificationResult(True, (), (), ())
-    dm = leaf_distance_matrix(t)
-    ids = [int(s) for s in dm.names]
-    missing = []
-    extra = []
-    for i, row in enumerate(dm.dist):
-        for j in range(i + 1, len(ids)):
-            u, v = sorted((ids[i], ids[j]))
-            related = row[j] == k
-            if related and not g.has_edge(u, v):
-                extra.append((u, v))
-            elif not related and g.has_edge(u, v):
-                missing.append((u, v))
-    ok = not missing and not extra
-    return VerificationResult(ok, (), tuple(sorted(missing)), tuple(sorted(extra)))
+    related = {(min(p), max(p)) for p in pairs}
+    missing = sorted(g.edges - related)
+    extra = sorted(related - g.edges)
+    return VerificationResult(False, (), tuple(missing), tuple(extra))
 
 
 def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:

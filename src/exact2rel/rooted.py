@@ -14,15 +14,15 @@ has a single child.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .graphs import (Graph, OrientedGraph, TwinPartition,
                      connected_components, directed_quotient, find_cycle,
                      from_arc_list, underlying_graph)
 from .newick import subtree_text
-from .trees import (LabeledTree, certify_relation, flat_form, is_canonical,
-                    lowest_common_ancestors, subtree_key, tree_layout)
+from .trees import (LabeledTree, _compact, _weighted_adjacency,
+                    certify_relation, flat_form, is_canonical, relation_pairs,
+                    subtree_key)
 
 
 class RootedLabeledTree:
@@ -47,18 +47,7 @@ class RootedLabeledTree:
               names: Mapping[int, str], root: int) -> "RootedLabeledTree":
         """Validate and build.  ``names`` must cover exactly the non-root
         vertices of degree <= 1; the root must not be named."""
-        adj: list[dict[int, int]] = [dict() for _ in range(nv)]
-        count = 0
-        for u, v, w in edges:
-            if not (0 <= u < nv and 0 <= v < nv) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                raise ValueError(f"edge ({u}, {v}) needs a non-negative integer weight")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u][v] = w
-            adj[v][u] = w
-            count += 1
+        adj, count = _weighted_adjacency(nv, edges)
         if not (0 <= root < nv):
             raise ValueError("root out of range")
         if count != nv - 1:
@@ -153,18 +142,11 @@ def format_rooted_newick(t: RootedLabeledTree) -> str:
 
 def directed_relation_pairs(t: RootedLabeledTree, k: int) -> set[tuple[str, str]]:
     """Ordered leaf-name pairs (x, y) with up-weight(x -> lca) = 0 and
-    down-weight(lca -> y) = k."""
+    down-weight(lca -> y) = k, as ``relation_pairs`` lists them."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    order, parent, depth = tree_layout(t.adj, t.root)
-    pairs = list(combinations(t.names, 2))
-    out = set()
-    for (x, y), m in zip(pairs, lowest_common_ancestors(order, parent, pairs)):
-        if depth[x] == depth[m] and depth[y] - depth[m] == k:
-            out.add((t.names[x], t.names[y]))
-        elif depth[y] == depth[m] and depth[x] - depth[m] == k:
-            out.add((t.names[y], t.names[x]))
-    return out
+    return {(t.names[x], t.names[y])
+            for x, y in relation_pairs(t, t.root, k, directed=True)}
 
 
 def directed_explain(t: RootedLabeledTree, k: int) -> OrientedGraph:
@@ -196,12 +178,7 @@ def underlying_tree(t: RootedLabeledTree) -> LabeledTree:
                     del adj[u][v]
                 del adj[v]
                 changed = True
-    verts = sorted(adj)
-    new_id = {v: i for i, v in enumerate(verts)}
-    edges = [(new_id[u], new_id[v], w) for u in adj
-             for v, w in adj[u].items() if new_id[u] < new_id[v]]
-    new_names = {new_id[v]: s for v, s in names.items()}
-    return LabeledTree.build(len(verts), edges, new_names)
+    return _compact(adj, names)
 
 
 # ======================================================================

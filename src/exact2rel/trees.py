@@ -17,7 +17,6 @@ relation it realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .graphs import Graph, from_edge_list
@@ -55,18 +54,7 @@ class LabeledTree:
             ValueError: if the edge set is not a tree, a weight is
                 negative or non-integer, or the naming is wrong.
         """
-        adj: list[dict[int, int]] = [dict() for _ in range(nv)]
-        count = 0
-        for u, v, w in edges:
-            if not (0 <= u < nv and 0 <= v < nv) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                raise ValueError(f"edge ({u}, {v}) needs a non-negative integer weight")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u][v] = w
-            adj[v][u] = w
-            count += 1
+        adj, count = _weighted_adjacency(nv, edges)
         if nv == 0:
             raise ValueError("tree needs at least one vertex")
         if count != nv - 1:
@@ -132,6 +120,25 @@ class LabeledTree:
 
     def __repr__(self) -> str:
         return f"LabeledTree(leaves={self.leaf_names})"
+
+
+def _weighted_adjacency(nv: int, edges: Iterable[tuple[int, int, int]]
+                        ) -> tuple[list[dict[int, int]], int]:
+    """The adjacency of ``edges`` on vertices ``0 .. nv-1`` and the edge
+    count, each edge checked for its ends and its weight."""
+    adj: list[dict[int, int]] = [dict() for _ in range(nv)]
+    count = 0
+    for u, v, w in edges:
+        if not (0 <= u < nv and 0 <= v < nv) or u == v:
+            raise ValueError(f"bad edge ({u}, {v})")
+        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+            raise ValueError(f"edge ({u}, {v}) needs a non-negative integer weight")
+        if v in adj[u]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        adj[u][v] = w
+        adj[v][u] = w
+        count += 1
+    return adj, count
 
 
 @dataclass(frozen=True)
@@ -215,78 +222,64 @@ def subtree_key(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
                          lambda entries: ("I", tuple(entries)))
 
 
-def lowest_common_ancestors(order: list[int], parent: list[int],
-                            pairs: list[tuple[int, int]]) -> list[int]:
-    """The lowest common ancestor of each pair of distinct vertices, by
-    Tarjan's offline union-find method over the post-order (reversed
-    pre-order) of a ``tree_layout``."""
-    queries: list[list[tuple[int, int]]] = [[] for _ in parent]
-    for i, (a, b) in enumerate(pairs):
-        queries[a].append((b, i))
-        queries[b].append((a, i))
-    out = [-1] * len(pairs)
-    link = list(range(len(parent)))  # a finished vertex links to its parent
-    done = [False] * len(parent)
-    for x in reversed(order):
-        for y, i in queries[x]:
-            if done[y]:
-                # the nearest unfinished ancestor of y is lca(x, y)
-                while link[y] != y:
-                    link[y] = link[link[y]]
-                    y = link[y]
-                out[i] = y
-        done[x] = True
-        if parent[x] >= 0:
-            link[x] = parent[x]
+def relation_pairs(t, root: int, k: int,
+                   directed: bool = False) -> list[tuple[int, int]]:
+    """Each leaf pair related at level ``k`` in ``t`` (a ``LabeledTree``
+    or a rooted tree) hung from ``root``, once, as vertex ids, in
+    O(nv * (k + 1) + nv * log nv + output) steps.
+
+    Undirected, (x, y) is related when its path weight is ``k``;
+    directed, when x sits at weight 0 below the two leaves' lowest
+    common ancestor and y at weight ``k``.  One pass over the reversed
+    pre-order of ``tree_layout`` keeps, per vertex, the leaves below it
+    bucketed by relative depth 0..k; a pair is listed at its lowest
+    common ancestor, where a child's bucket at d meets the siblings'
+    before it at k - d.  The smaller of two merged buckets joins the
+    larger, so each leaf moves O(log nv) times.
+    """
+    order, parent, _ = tree_layout(t.adj, root)
+    below: dict[int, dict[int, list[int]]] = {}  # vertex -> depth -> leaves
+    out: list[tuple[int, int]] = []
+    for v in reversed(order):
+        acc = {0: [v]} if v in t.names else {}
+        for c, w in t.adj[v].items():
+            if c == parent[v]:
+                continue
+            shifted = {d + w: ls for d, ls in below.pop(c).items()
+                       if d + w <= k}
+            if directed:
+                out += [(x, y) for x in acc.get(0, ()) for y in shifted.get(k, ())]
+                out += [(x, y) for x in shifted.get(0, ()) for y in acc.get(k, ())]
+            else:
+                for d, ls in shifted.items():
+                    out += [(x, y) for x in ls for y in acc.get(k - d, ())]
+            for d, ls in shifted.items():
+                have = acc.get(d, [])
+                if len(have) < len(ls):
+                    have, ls = ls, have
+                have += ls
+                acc[d] = have
+        below[v] = acc
     return out
 
 
 def certify_relation(t, root: int, pairs: list[tuple[int, int]], k: int,
                      directed: bool = False) -> bool:
     """True when the leaf pairs ``pairs`` (vertex ids, distinct pairs)
-    are exactly the level-``k`` relation of ``t`` (a ``LabeledTree`` or
-    a rooted tree) hung from ``root``, in O(nv * min(k + 1, leaves) +
-    len(pairs)) steps up to the union-find's near-constant factor.
-
-    Undirected, a pair is related when its path weight is ``k``;
-    directed, (x, y) is related when x sits at weight 0 below their
-    lowest common ancestor and y at weight ``k``.  The certificate is
-    (i) every given pair is related, checked by one offline LCA pass,
-    and (ii) the number of related leaf pairs is ``len(pairs)``,
-    counted bottom-up from the leaves' relative depths 0..k below each
-    vertex.  Together they say the two relations are equal.
-    """
-    order, parent, depth = tree_layout(t.adj, root)
-    for (x, y), m in zip(pairs, lowest_common_ancestors(order, parent, pairs)):
-        if directed:
-            bad = depth[x] != depth[m] or depth[y] - depth[m] != k
-        else:
-            bad = depth[x] + depth[y] - 2 * depth[m] != k
-        if bad:
-            return False
-    related = 0
-    below: list[dict[int, int]] = [{} for _ in parent]  # relative depth -> leaves
-    for v in reversed(order):
-        acc = {0: 1} if v in t.names else {}
-        for c, w in t.adj[v].items():
-            if c == parent[v]:
-                continue
-            shifted = {d + w: n for d, n in below[c].items() if d + w <= k}
-            if directed:
-                related += (acc.get(0, 0) * shifted.get(k, 0)
-                            + acc.get(k, 0) * shifted.get(0, 0))
-            else:
-                related += sum(n * acc.get(k - d, 0) for d, n in shifted.items())
-            for d, n in shifted.items():
-                acc[d] = acc.get(d, 0) + n
-        below[v] = acc
-    return related == len(pairs)
+    are exactly the level-``k`` relation of ``t`` hung from ``root``, as
+    ``relation_pairs`` lists it; undirected, a pair may come in either
+    order."""
+    given = set(pairs)
+    if not directed:
+        given.update((y, x) for x, y in pairs)
+    related = relation_pairs(t, root, k, directed)
+    return len(related) == len(pairs) and all(p in given for p in related)
 
 
 def explain(t: LabeledTree, k: int) -> Graph:
     """The graph whose vertices are the leaves (graph vertex ``i`` is the
     i-th leaf name in sorted order) and whose edges are the leaf pairs at
-    path weight exactly ``k``.
+    path weight exactly ``k``, as ``relation_pairs`` lists them.
 
     Args:
         t: any tree.
@@ -294,11 +287,9 @@ def explain(t: LabeledTree, k: int) -> Graph:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dm = leaf_distance_matrix(t)
-    n = len(dm.names)
-    edges = [(i, j) for i, j in combinations(range(n), 2)
-             if dm.dist[i][j] == k]
-    return from_edge_list(n, edges)
+    index = {t.vertex_of(s): i for i, s in enumerate(t.leaf_names)}
+    return from_edge_list(len(index), [(index[x], index[y])
+                                       for x, y in relation_pairs(t, 0, k)])
 
 
 def scale(t: LabeledTree, c: int) -> LabeledTree:
@@ -445,9 +436,7 @@ def is_canonical(t: LabeledTree) -> bool:
 
 def is_zero_discrete(t: LabeledTree) -> bool:
     """True when no two distinct leaves sit at path weight 0."""
-    dm = leaf_distance_matrix(t)
-    n = len(dm.names)
-    return all(dm.dist[i][j] != 0 for i, j in combinations(range(n), 2))
+    return not relation_pairs(t, 0, 0)
 
 
 # ======================================================================

@@ -269,7 +269,7 @@ def test_yes_paths_skip_the_all_pairs_comparison(monkeypatch):
     def refuse(*args):
         raise AssertionError("all-pairs comparison on a yes path")
 
-    monkeypatch.setattr("exact2rel.construct.leaf_distance_matrix", refuse)
+    monkeypatch.setattr("exact2rel.trees.leaf_distance_matrix", refuse)
     monkeypatch.setattr("exact2rel.rooted.directed_relation_pairs", refuse)
     g = random_block_graph(random.Random(7), 10_000)
     assert recognize(g).decision

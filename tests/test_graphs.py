@@ -274,7 +274,7 @@ def _twin_classes(rng, n_classes):
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(1, 37), st.sampled_from([0.05, 0.2, 0.5]),
-       st.randoms(use_true_random=False))
+       st.integers(0, 2**32 - 1).map(random.Random))
 def test_builders_match_reference_on_large_graphs(n_classes, density, rng):
     """Up to 296 vertices in twin classes, so the quotients contract."""
     classes = _twin_classes(rng, n_classes)
