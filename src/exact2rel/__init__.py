@@ -22,12 +22,12 @@ from .oracle import (CharacterizationReport, EnumerationBudget,
                      ExplainableSet, RootedExplainableSet, all_witnesses,
                      check_characterization, enumerate_topologies,
                      explainable_set, format_report, rooted_explainable_set)
-from .rooted import (OrientedOutcome, RootedLabeledTree, construct_oriented,
-                     directed_explain, directed_relation_pairs,
-                     enumerate_rooted, format_rooted_newick,
-                     is_canonical_rooted, recognize_oriented, underlying_tree)
-from .trees import (DistanceMatrix, LabeledTree, canonicalize, explain,
-                    is_canonical, is_zero_discrete, leaf_distance_matrix,
-                    restrict, scale)
+from .rooted import (OrientedOutcome, construct_oriented, directed_explain,
+                     directed_relation_pairs, enumerate_rooted,
+                     format_rooted_newick, recognize_oriented)
+from .trees import (DistanceMatrix, LabeledTree, RootedLabeledTree,
+                    canonicalize, explain, is_canonical, is_canonical_rooted,
+                    is_zero_discrete, leaf_distance_matrix, restrict, scale,
+                    underlying_tree)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .trees import LabeledTree, fold_subtrees
+from .trees import LabeledTree, RootedLabeledTree, fold_subtrees
 
 
 class TreeFormatError(ValueError):
@@ -138,14 +138,14 @@ def parse_newick(text: str) -> LabeledTree:
         raise TreeFormatError(str(exc)) from None
 
 
-def parse_rooted_newick(text: str):
+def parse_rooted_newick(text: str) -> RootedLabeledTree:
     """Parse tree text with the rooted reading: the top-level node is the
     root (its name, if any, is discarded; it is never a leaf).
 
-    Returns a ``rooted.RootedLabeledTree``.
+    Raises:
+        TreeFormatError: syntax errors (with position), a top-level node
+            without children, or duplicate leaf names.
     """
-    from .rooted import RootedLabeledTree
-
     nv, edges, names, kids, _ = _Parser(text).parse()
     if kids == 0:
         raise TreeFormatError(

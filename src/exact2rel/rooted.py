@@ -1,134 +1,24 @@
-"""Rooted weighted trees and the directed leaf relation.
+"""The directed leaf relation of rooted weighted trees.
 
-In a rooted tree an arc (x, y) between leaves holds at level ``k`` when
-the weights from x up to the meeting point (lowest common ancestor) sum
-to 0 and the weights from there down to y sum to exactly ``k``.  This
-module provides that relation, recognition and construction for the
-oriented graphs it produces at k=2, and the enumeration of all rooted
-canonical trees over a given unrooted canonical tree.
-
-The root is always an anonymous vertex and never a leaf, even when it
-has a single child.
+In a rooted tree (``trees.RootedLabeledTree``, re-exported here) an arc
+(x, y) between leaves holds at level ``k`` when the weights from x up to
+the meeting point (lowest common ancestor) sum to 0 and the weights from
+there down to y sum to exactly ``k``.  This module provides that
+relation, its text form, recognition and construction for the oriented
+graphs it produces at k=2, and the enumeration of all rooted canonical
+trees over a given unrooted canonical tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .graphs import (Graph, OrientedGraph, TwinPartition,
                      connected_components, directed_quotient, find_cycle,
                      from_arc_list, underlying_graph)
 from .newick import subtree_text
-from .trees import (LabeledTree, _compact, _weighted_adjacency,
-                    certify_relation, flat_form, is_canonical, relation_pairs,
-                    subtree_key)
-
-
-class RootedLabeledTree:
-    """Immutable rooted tree with weighted edges and named leaves.
-
-    Leaves are the non-root vertices of degree <= 1; each carries a
-    unique name.  The root is unnamed and may have any degree >= 1.
-    """
-
-    __slots__ = ("nv", "adj", "names", "root", "parent", "_name_to_vertex")
-
-    def __init__(self, nv, adj, names, root, parent):
-        self.nv = nv
-        self.adj = adj
-        self.names = names
-        self.root = root
-        self.parent = parent
-        self._name_to_vertex = {s: v for v, s in names.items()}
-
-    @classmethod
-    def build(cls, nv: int, edges: Iterable[tuple[int, int, int]],
-              names: Mapping[int, str], root: int) -> "RootedLabeledTree":
-        """Validate and build.  ``names`` must cover exactly the non-root
-        vertices of degree <= 1; the root must not be named."""
-        adj, count = _weighted_adjacency(nv, edges)
-        if not (0 <= root < nv):
-            raise ValueError("root out of range")
-        if count != nv - 1:
-            raise ValueError(f"{count} edges on {nv} vertices is not a tree")
-        parent: list[int | None] = [None] * nv
-        order = [root]
-        seen = {root}
-        for x in order:
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    parent[y] = x
-                    order.append(y)
-        if len(seen) != nv:
-            raise ValueError("edge set is not connected")
-        named = dict(names)
-        leaf_vs = {v for v in range(nv) if v != root and len(adj[v]) <= 1}
-        if root in named:
-            raise ValueError("the root must not carry a name")
-        if set(named) != leaf_vs:
-            raise ValueError("names must cover exactly the non-root degree<=1 vertices")
-        vals = list(named.values())
-        if len(set(vals)) != len(vals):
-            raise ValueError("duplicate leaf name")
-        if nv == 1:
-            raise ValueError("a rooted tree needs at least one leaf under the root")
-        return cls(nv, tuple(adj), named, root, tuple(parent))
-
-    # -- queries -------------------------------------------------------
-
-    @property
-    def leaf_names(self) -> list[str]:
-        return sorted(self.names.values())
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.names)
-
-    def vertex_of(self, name: str) -> int:
-        return self._name_to_vertex[name]
-
-    def children(self, v: int) -> list[int]:
-        return [u for u in self.adj[v] if u != self.parent[v]]
-
-    def weighted_edges(self) -> list[tuple[int, int, int]]:
-        return [(u, v, w) for u in range(self.nv)
-                for v, w in self.adj[u].items() if u < v]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RootedLabeledTree)
-                and flat_form(rooted_canonical_form(self))
-                == flat_form(rooted_canonical_form(other)))
-
-    def __hash__(self) -> int:
-        return hash(rooted_canonical_form(self))
-
-    def __repr__(self) -> str:
-        return f"RootedLabeledTree(leaves={self.leaf_names})"
-
-
-# ======================================================================
-# Canonical form, canonicity, serialization
-# ======================================================================
-
-def rooted_canonical_form(t: RootedLabeledTree) -> tuple:
-    """Hashable form; equal exactly for trees with the same root
-    position, shape, weights, and leaf names."""
-    return ("R", subtree_key(t.adj, t.names, t.root))
-
-
-def is_canonical_rooted(t: RootedLabeledTree) -> bool:
-    """True when every non-leaf vertex (root included) has at least two
-    children and every edge between two non-leaf vertices has positive
-    weight."""
-    for v in range(t.nv):
-        if v not in t.names and len(t.children(v)) < 2:
-            return False
-    for u, v, w in t.weighted_edges():
-        if w == 0 and u not in t.names and v not in t.names:
-            return False
-    return True
+from .trees import (LabeledTree, RootedLabeledTree, certify_relation,
+                    is_canonical, relation_pairs)
 
 
 def format_rooted_newick(t: RootedLabeledTree) -> str:
@@ -161,24 +51,6 @@ def directed_explain(t: RootedLabeledTree, k: int) -> OrientedGraph:
     idx = {s: i for i, s in enumerate(names)}
     arcs = [(idx[a], idx[b]) for a, b in directed_relation_pairs(t, k)]
     return from_arc_list(len(names), arcs)
-
-
-def underlying_tree(t: RootedLabeledTree) -> LabeledTree:
-    """Forget the root.  A root left dangling as an unnamed degree-1
-    vertex (possible when it had a single child) lies on no leaf-to-leaf
-    path and is dropped."""
-    adj: dict[int, dict[int, int]] = {v: dict(t.adj[v]) for v in range(t.nv)}
-    names = dict(t.names)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v not in names and len(adj[v]) <= 1 and len(adj) > 1:
-                for u in list(adj[v]):
-                    del adj[u][v]
-                del adj[v]
-                changed = True
-    return _compact(adj, names)
 
 
 # ======================================================================

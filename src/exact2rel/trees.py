@@ -1,17 +1,19 @@
-"""Edge-weighted unrooted trees with named leaves.
+"""Edge-weighted trees with named leaves, unrooted and rooted.
 
 A tree here has internal vertex ids ``0 .. nv-1``; every vertex of
 degree <= 1 carries a unique string name (interior vertices are
-anonymous).  Edge weights are non-negative integers.  The central
-notion: two leaves are related at level ``k`` when the weights on the
-path between them sum to exactly ``k``; a tree explains a graph when the
-graph's edges are exactly the related leaf pairs.
+anonymous).  A rooted tree adds a root, an anonymous vertex that is
+never a leaf, even when it has a single child.  Edge weights are
+non-negative integers.  The central notion: two leaves are related at
+level ``k`` when the weights on the path between them sum to exactly
+``k``; a tree explains a graph when the graph's edges are exactly the
+related leaf pairs.
 
-A tree is *canonical* when every interior vertex has degree >= 3 and no
-edge between two interior vertices has weight 0.  Trees with at most two
-leaves are canonical by definition.  ``canonicalize`` reduces any tree
-to canonical shape without changing any leaf-to-leaf path weight
-relation it realizes.
+A tree is *canonical* when every interior vertex has degree >= 3 (a
+root: two children) and no edge between two interior vertices has
+weight 0.  Trees with at most two leaves are canonical by definition.
+``canonicalize`` reduces any tree to canonical shape without changing
+any leaf-to-leaf path weight relation it realizes.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .graphs import Graph, from_edge_list
 T = TypeVar("T")
 
 
-class LabeledTree:
-    """Immutable unrooted tree with weighted edges and named leaves."""
+class _Tree:
+    """What both tree types share: the storage, the queries, and
+    equality and hashing by the type's own canonical form."""
 
     __slots__ = ("nv", "adj", "names", "_name_to_vertex")
 
@@ -36,7 +39,36 @@ class LabeledTree:
         self.names = names
         self._name_to_vertex = {s: v for v, s in names.items()}
 
-    # -- construction --------------------------------------------------
+    @property
+    def leaf_names(self) -> list[str]:
+        return sorted(self.names.values())
+
+    @property
+    def n_leaves(self) -> int:
+        return len(self.names)
+
+    def vertex_of(self, name: str) -> int:
+        return self._name_to_vertex[name]
+
+    def weighted_edges(self) -> list[tuple[int, int, int]]:
+        return [(u, v, w) for u in range(self.nv)
+                for v, w in self.adj[u].items() if u < v]
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self)
+                and flat_form(self._form()) == flat_form(other._form()))
+
+    def __hash__(self) -> int:
+        return hash(self._form())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(leaves={self.leaf_names})"
+
+
+class LabeledTree(_Tree):
+    """Immutable unrooted tree with weighted edges and named leaves."""
+
+    __slots__ = ()
 
     @classmethod
     def build(cls, nv: int, edges: Iterable[tuple[int, int, int]],
@@ -54,78 +86,66 @@ class LabeledTree:
             ValueError: if the edge set is not a tree, a weight is
                 negative or non-integer, or the naming is wrong.
         """
-        adj, count = _weighted_adjacency(nv, edges)
-        if nv == 0:
-            raise ValueError("tree needs at least one vertex")
-        if count != nv - 1:
-            raise ValueError(f"{count} edges on {nv} vertices is not a tree")
-        # connectivity
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != nv:
-            raise ValueError("edge set is not connected")
-        # naming: exactly the degree<=1 vertices, uniquely
-        leaf_vs = {v for v in range(nv) if len(adj[v]) <= 1}
-        named = dict(names)
-        if set(named) != leaf_vs:
-            raise ValueError("names must cover exactly the degree<=1 vertices")
-        vals = list(named.values())
-        if len(set(vals)) != len(vals):
-            raise ValueError("duplicate leaf name")
-        for s in vals:
-            if not s:
-                raise ValueError("empty leaf name")
-        return cls(nv, tuple(adj), named)
-
-    # -- basic queries -------------------------------------------------
+        adj, named, _ = _validate(nv, edges, names, None)
+        return cls(nv, adj, named)
 
     @property
     def leaf_vertices(self) -> list[int]:
         return [v for v in range(self.nv) if len(self.adj[v]) <= 1]
 
-    @property
-    def leaf_names(self) -> list[str]:
-        return sorted(self.names.values())
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.names)
-
-    def vertex_of(self, name: str) -> int:
-        return self._name_to_vertex[name]
-
     def interior_vertices(self) -> list[int]:
         return [v for v in range(self.nv) if len(self.adj[v]) >= 2]
-
-    def weighted_edges(self) -> list[tuple[int, int, int]]:
-        return [(u, v, w) for u in range(self.nv)
-                for v, w in self.adj[u].items() if u < v]
 
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.weighted_edges())
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LabeledTree)
-                and flat_form(canonical_form(self))
-                == flat_form(canonical_form(other)))
-
-    def __hash__(self) -> int:
-        return hash(canonical_form(self))
-
-    def __repr__(self) -> str:
-        return f"LabeledTree(leaves={self.leaf_names})"
+    def _form(self) -> tuple:
+        return canonical_form(self)
 
 
-def _weighted_adjacency(nv: int, edges: Iterable[tuple[int, int, int]]
-                        ) -> tuple[list[dict[int, int]], int]:
-    """The adjacency of ``edges`` on vertices ``0 .. nv-1`` and the edge
-    count, each edge checked for its ends and its weight."""
+class RootedLabeledTree(_Tree):
+    """Immutable rooted tree with weighted edges and named leaves.
+
+    Leaves are the non-root vertices of degree <= 1; each carries a
+    unique name.  The root is unnamed and may have any degree >= 1.
+    ``parent`` holds each vertex's parent, ``None`` at the root.
+    """
+
+    __slots__ = ("root", "parent")
+
+    def __init__(self, nv: int, adj: tuple[dict[int, int], ...],
+                 names: dict[int, str], root: int,
+                 parent: tuple[int | None, ...]):
+        self.nv = nv
+        self.adj = adj
+        self.names = names
+        self._name_to_vertex = {s: v for v, s in names.items()}
+        self.root = root
+        self.parent = parent
+
+    @classmethod
+    def build(cls, nv: int, edges: Iterable[tuple[int, int, int]],
+              names: Mapping[int, str], root: int) -> "RootedLabeledTree":
+        """Validate and build.  ``names`` must cover exactly the non-root
+        vertices of degree <= 1; the root must not be named."""
+        adj, named, parent = _validate(nv, edges, names, root)
+        if nv == 1:
+            raise ValueError("a rooted tree needs at least one leaf under the root")
+        return cls(nv, adj, named, root, parent)
+
+    def _form(self) -> tuple:
+        return rooted_canonical_form(self)
+
+
+def _validate(nv: int, edges: Iterable[tuple[int, int, int]],
+              names: Mapping[int, str], root: int | None
+              ) -> tuple[tuple[dict[int, int], ...], dict[int, str],
+                         tuple[int | None, ...]]:
+    """Check that ``edges`` form a tree on ``0 .. nv-1`` whose leaves,
+    the vertices of degree <= 1 other than ``root`` (``None`` for an
+    unrooted tree), are exactly the keys of ``names``, with distinct
+    non-empty names.  Returns the adjacency, the names and each
+    vertex's parent in the tree hung from ``root`` (or from 0)."""
     adj: list[dict[int, int]] = [dict() for _ in range(nv)]
     count = 0
     for u, v, w in edges:
@@ -138,7 +158,36 @@ def _weighted_adjacency(nv: int, edges: Iterable[tuple[int, int, int]]
         adj[u][v] = w
         adj[v][u] = w
         count += 1
-    return adj, count
+    if root is None:
+        if nv == 0:
+            raise ValueError("tree needs at least one vertex")
+    elif not 0 <= root < nv:
+        raise ValueError("root out of range")
+    if count != nv - 1:
+        raise ValueError(f"{count} edges on {nv} vertices is not a tree")
+    top = 0 if root is None else root
+    parent: list[int | None] = [-1] * nv  # -1: not reached yet
+    parent[top] = None
+    order = [top]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] == -1:
+                parent[y] = x
+                order.append(y)
+    if len(order) != nv:
+        raise ValueError("edge set is not connected")
+    named = dict(names)
+    if root in named:
+        raise ValueError("the root must not carry a name")
+    if set(named) != {v for v in range(nv) if v != root and len(adj[v]) <= 1}:
+        raise ValueError("names must cover exactly the "
+                         f"{'' if root is None else 'non-root '}degree<=1 vertices")
+    vals = list(named.values())
+    if len(set(vals)) != len(vals):
+        raise ValueError("duplicate leaf name")
+    if not all(vals):
+        raise ValueError("empty leaf name")
+    return tuple(adj), named, tuple(parent)
 
 
 @dataclass(frozen=True)
@@ -301,7 +350,7 @@ def scale(t: LabeledTree, c: int) -> LabeledTree:
 
 
 # ======================================================================
-# Canonicalization and restriction
+# Canonicalization, restriction and forgetting the root
 # ======================================================================
 
 def _compact(adj: dict[int, dict[int, int]], names: dict[int, str]) -> LabeledTree:
@@ -312,6 +361,30 @@ def _compact(adj: dict[int, dict[int, int]], names: dict[int, str]) -> LabeledTr
              for v, w in adj[u].items() if new_id[u] < new_id[v]]
     new_names = {new_id[v]: s for v, s in names.items() if v in new_id}
     return LabeledTree.build(len(verts), edges, new_names)
+
+
+def _smooth(adj: dict[int, dict[int, int]], v: int) -> None:
+    """Remove the degree-2 vertex ``v`` of a mutable adjacency, joining
+    its two neighbours by one edge of the summed weight.  No other
+    vertex changes degree."""
+    (a, wa), (b, wb) = adj.pop(v).items()
+    del adj[a][v]
+    del adj[b][v]
+    adj[a][b] = wa + wb
+    adj[b][a] = wa + wb
+
+
+def _prune(adj: dict[int, dict[int, int]], names: Mapping[int, str]) -> None:
+    """Remove from a mutable adjacency every unnamed vertex that lies on
+    no path between named ones, from a worklist of unnamed vertices of
+    degree <= 1.  ``names`` must name at least one vertex."""
+    due = [v for v in adj if v not in names and len(adj[v]) <= 1]
+    while due:
+        v = due.pop()
+        for u in adj.pop(v):
+            del adj[u][v]
+            if u not in names and len(adj[u]) == 1:
+                due.append(u)
 
 
 def canonicalize(t: LabeledTree) -> LabeledTree:
@@ -343,12 +416,7 @@ def _canonicalize(adj: dict[int, dict[int, int]],
             continue
         nbrs = adj[v]
         if len(nbrs) == 2:
-            (a, wa), (b, wb) = nbrs.items()
-            del adj[v]
-            del adj[a][v]
-            del adj[b][v]
-            adj[a][b] = wa + wb
-            adj[b][a] = wa + wb
+            _smooth(adj, v)
             continue
         # merge v into its first interior neighbour across a 0-edge
         target = next((u for u, w in nbrs.items()
@@ -387,56 +455,66 @@ def restrict(t: LabeledTree, leaf_subset: Iterable[str]) -> LabeledTree:
 
     adj: dict[int, dict[int, int]] = {v: dict(t.adj[v]) for v in range(t.nv)}
     names = {v: s for v, s in t.names.items() if s in keep}
-
-    # prune: repeatedly remove unnamed (or dropped-name) degree<=1 vertices
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in names:
-                continue
-            if len(adj[v]) <= 1:
-                for u in list(adj[v]):
-                    del adj[u][v]
-                del adj[v]
-                changed = True
-    # smooth degree-2 pass-through vertices
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in names or len(adj[v]) != 2:
-                continue
-            (a, wa), (b, wb) = adj[v].items()
-            del adj[v]
-            del adj[a][v]
-            del adj[b][v]
-            adj[a][b] = wa + wb
-            adj[b][a] = wa + wb
-            changed = True
-            break
+    _prune(adj, names)
+    for v in list(adj):
+        if v not in names and len(adj[v]) == 2:
+            _smooth(adj, v)
     return _compact(adj, names)
+
+
+def underlying_tree(t: RootedLabeledTree) -> LabeledTree:
+    """Forget the root.  A root left dangling as an unnamed degree-1
+    vertex (possible when it had a single child) lies on no leaf-to-leaf
+    path and is dropped."""
+    adj = {v: dict(t.adj[v]) for v in range(t.nv)}
+    _prune(adj, t.names)
+    return _compact(adj, t.names)
 
 
 # ======================================================================
 # Predicates
 # ======================================================================
 
-def is_canonical(t: LabeledTree) -> bool:
-    """True when every interior vertex has degree >= 3 and no
-    interior-to-interior edge has weight 0."""
+def _is_canonical(t: _Tree, root: int | None) -> bool:
+    """True when every unnamed vertex has degree >= 3, ``root`` (``None``
+    for none) >= 2, and no edge between two unnamed vertices has weight 0."""
     for v in range(t.nv):
-        if v not in t.names and len(t.adj[v]) < 3:
-            return False
-    for u, v, w in t.weighted_edges():
-        if w == 0 and u not in t.names and v not in t.names:
+        if v not in t.names and (
+                len(t.adj[v]) + (v == root) < 3
+                or any(w == 0 and u not in t.names
+                       for u, w in t.adj[v].items())):
             return False
     return True
 
 
-def is_zero_discrete(t: LabeledTree) -> bool:
-    """True when no two distinct leaves sit at path weight 0."""
-    return not relation_pairs(t, 0, 0)
+def is_canonical(t: LabeledTree) -> bool:
+    """True when every interior vertex has degree >= 3 and no
+    interior-to-interior edge has weight 0."""
+    return _is_canonical(t, None)
+
+
+def is_canonical_rooted(t: RootedLabeledTree) -> bool:
+    """True when every non-leaf vertex (root included) has at least two
+    children and every edge between two non-leaf vertices has positive
+    weight."""
+    return _is_canonical(t, t.root)
+
+
+def is_zero_discrete(t: LabeledTree | RootedLabeledTree) -> bool:
+    """True when no two distinct leaves sit at path weight 0: a walk
+    over the 0-weight edges from each leaf meets no other leaf."""
+    seen: set[int] = set()
+    for v in t.names:
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for y, w in t.adj[stack.pop()].items():
+                if w == 0 and y not in seen:
+                    if y in t.names:
+                        return False
+                    seen.add(y)
+                    stack.append(y)
+    return True
 
 
 # ======================================================================
@@ -456,6 +534,12 @@ def canonical_form(t: LabeledTree) -> tuple:
     # with nv > 2 the smallest leaf's one neighbour is interior
     (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
     return ("T", subtree_key(t.adj, t.names, anchor))
+
+
+def rooted_canonical_form(t: RootedLabeledTree) -> tuple:
+    """Hashable form; equal exactly for trees with the same root
+    position, shape, weights, and leaf names."""
+    return ("R", subtree_key(t.adj, t.names, t.root))
 
 
 def flat_form(form: tuple) -> list:

@@ -601,6 +601,70 @@ def reference_canonicalize(t):
     return _compact(adj, names)
 
 
+def reference_restrict(t, leaf_subset):
+    """``restrict`` as a rescan of every vertex after each round of
+    pruning and from the first vertex after every smoothing."""
+    keep = set(leaf_subset)
+    if not keep:
+        raise ValueError("leaf subset must be non-empty")
+    unknown = keep - set(t.names.values())
+    if unknown:
+        raise ValueError(f"not leaves of this tree: {sorted(unknown)}")
+
+    if len(keep) == 1:
+        (name,) = keep
+        return LabeledTree.build(1, [], {0: name})
+
+    adj = {v: dict(t.adj[v]) for v in range(t.nv)}
+    names = {v: s for v, s in t.names.items() if s in keep}
+
+    # prune: repeatedly remove unnamed (or dropped-name) degree<=1 vertices
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in names:
+                continue
+            if len(adj[v]) <= 1:
+                for u in list(adj[v]):
+                    del adj[u][v]
+                del adj[v]
+                changed = True
+    # smooth degree-2 pass-through vertices
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in names or len(adj[v]) != 2:
+                continue
+            (a, wa), (b, wb) = adj[v].items()
+            del adj[v]
+            del adj[a][v]
+            del adj[b][v]
+            adj[a][b] = wa + wb
+            adj[b][a] = wa + wb
+            changed = True
+            break
+    return _compact(adj, names)
+
+
+def reference_underlying_tree(t):
+    """``underlying_tree`` as a rescan of every vertex after each round
+    of pruning."""
+    adj = {v: dict(t.adj[v]) for v in range(t.nv)}
+    names = dict(t.names)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v not in names and len(adj[v]) <= 1 and len(adj) > 1:
+                for u in list(adj[v]):
+                    del adj[u][v]
+                del adj[v]
+                changed = True
+    return _compact(adj, names)
+
+
 # Recursive serializers: one function per form, each walking the tree
 # from the top and sorting children by (smallest leaf, weight, form).
 

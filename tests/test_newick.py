@@ -14,7 +14,7 @@ from exact2rel import (LabeledTree, RootedLabeledTree, TreeFormatError,
                        enumerate_topologies, format_newick,
                        format_rooted_newick, from_arc_list, from_edge_list,
                        parse_newick, parse_rooted_newick, recognize, verify)
-from exact2rel.rooted import rooted_canonical_form
+from exact2rel.trees import rooted_canonical_form
 from exact2rel.trees import canonical_form, certify_relation
 
 

@@ -172,6 +172,17 @@ def test_no_reader_walks_all_leaf_pairs(monkeypatch):
     assert directed_explain(construct_oriented(path), 2).m == 3
 
 
+def test_zero_discreteness_of_large_stars():
+    # listing the weight-0 pairs of the first star would take
+    # C(10^5, 2) pairs; the answer needs one walk
+    n = 10**5
+    names = {v: f"x{v}" for v in range(1, n + 1)}
+    zero_spokes = [(0, v, 0) for v in names]
+    assert not is_zero_discrete(LabeledTree.build(n + 1, zero_spokes, names))
+    one_zero = zero_spokes[:1] + [(0, v, 1) for v in range(2, n + 1)]
+    assert is_zero_discrete(LabeledTree.build(n + 1, one_zero, names))
+
+
 def test_explain_lists_a_long_path_witness():
     n = 5000
     g = from_edge_list(n, [(v, v + 1) for v in range(n - 1)])

@@ -35,6 +35,14 @@ def test_build_rejects_missing_leaf_name():
         RootedLabeledTree.build(3, [(0, 1, 1), (0, 2, 1)], {1: "a"}, root=0)
 
 
+def test_build_rejects_empty_leaf_name():
+    with pytest.raises(ValueError, match="^empty leaf name$"):
+        RootedLabeledTree.build(3, [(0, 1, 0), (0, 2, 2)], {1: "", 2: "b"},
+                                root=0)
+    with pytest.raises(ValueError, match="^empty leaf name$"):
+        LabeledTree.build(3, [(0, 1, 0), (0, 2, 2)], {1: "", 2: "b"})
+
+
 def test_ancestor_queries():
     t = parse_rooted_newick("(a:1,(b:0,c:2):3);")
     a, b, c = (t.vertex_of(s) for s in "abc")
