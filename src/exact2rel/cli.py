@@ -18,8 +18,8 @@ from .construct import recognize, verify
 from .graphs import (directed_quotient, format_graph, format_oriented,
                      parse_graph, parse_oriented, quotient)
 from .newick import format_newick, parse_newick, parse_rooted_newick
-from .rooted import (_decide, directed_explain, enumerate_rooted,
-                     format_rooted_newick)
+from .rooted import (directed_explain, enumerate_rooted,
+                     format_rooted_newick, recognize_oriented)
 from .trees import canonicalize, explain
 
 
@@ -57,9 +57,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_recognize(args: argparse.Namespace) -> int:
     text = _read(args.graph)
     if args.oriented:
-        outcome, tree = _decide(parse_oriented(text), build=True)
+        outcome = recognize_oriented(parse_oriented(text))
         if outcome.decision:
-            _emit(format_rooted_newick(tree) + "\n", args.out)
+            _emit(format_rooted_newick(outcome.witness) + "\n", args.out)
             return 0
         certificate = " ".join(map(str, outcome.certificate))
         _emit(f"no ({outcome.reason})\ncertificate: {certificate}\n", args.out)

@@ -14,12 +14,11 @@ Leaf names are graph vertex ids as decimal strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .graphs import (Graph, TwinPartition, block_decomposition,
-                     connected_components, quotient)
-from .trees import LabeledTree, _canonicalize, _compact, relation_pairs
+                     connected_components, non_clique_block, quotient)
+from .trees import LabeledTree, _canonicalize, _Draft, relation_pairs
 
 
 @dataclass(frozen=True)
@@ -56,43 +55,9 @@ class VerificationResult:
 # ======================================================================
 # Building blocks
 # ======================================================================
-# Each step adds to one draft tree.  ``recognize`` runs all three on one
-# draft and builds it once; each public function runs one of them on a
-# draft of its own input.
-
-class _Draft:
-    """A tree under construction: weighted adjacency and leaf names, with
-    fresh vertex ids handed out in increasing order."""
-
-    __slots__ = ("adj", "names", "nv")
-
-    def __init__(self) -> None:
-        self.adj: dict[int, dict[int, int]] = {}
-        self.names: dict[int, str] = {}
-        self.nv = 0
-
-    def vertex(self, name: str | None = None) -> int:
-        v = self.nv
-        self.nv += 1
-        self.adj[v] = {}
-        if name is not None:
-            self.names[v] = name
-        return v
-
-    def link(self, u: int, v: int, w: int) -> None:
-        self.adj[u][v] = w
-        self.adj[v][u] = w
-
-    def add_tree(self, t: LabeledTree) -> list[int]:
-        """Copy ``t`` in; returns the new ids of its vertices, in order."""
-        ids = [self.vertex(t.names.get(v)) for v in range(t.nv)]
-        for u, v, w in t.weighted_edges():
-            self.link(ids[u], ids[v], w)
-        return ids
-
-    def tree(self) -> LabeledTree:
-        return _compact(self.adj, self.names)
-
+# Each step adds to one draft tree (``trees._Draft``).  ``recognize``
+# runs all three on one draft and builds it once; each public function
+# runs one of them on a draft of its own input.
 
 def _block_stars(d: _Draft, blocks: Iterable[frozenset[int]],
                  cut_vertices: frozenset[int], vs: list[int]
@@ -200,10 +165,8 @@ def construct_block_tree(g: Graph) -> LabeledTree:
     if len(connected_components(g)) != 1:
         raise ValueError("graph is not connected")
     dec = block_decomposition(g)
-    for blk in dec.blocks:
-        for u, v in combinations(sorted(blk), 2):
-            if not g.has_edge(u, v):
-                raise ValueError("graph is not a block graph")
+    if non_clique_block(g, dec) is not None:
+        raise ValueError("graph is not a block graph")
     d = _Draft()
     _, leaves = _block_stars(d, dec.blocks, dec.cut_vertices, list(range(g.n)))
     for v, leaf in enumerate(leaves):
@@ -317,11 +280,10 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
     reps = p.representatives
     dec = block_decomposition(q)
 
-    for blk in dec.blocks:
-        vs = sorted(blk)
-        if any(not q.has_edge(u, v) for u, v in combinations(vs, 2)):
-            cert = tuple(sorted(reps[v] for v in vs))
-            return RecognitionOutcome(False, None, cert)
+    bad = non_clique_block(q, dec)
+    if bad is not None:
+        cert = tuple(sorted(reps[v] for v in bad))
+        return RecognitionOutcome(False, None, cert)
 
     comps = [sorted(c) for c in connected_components(q)]
     comp_of = [0] * q.n

@@ -13,7 +13,6 @@ from them on first read and cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 
@@ -205,11 +204,9 @@ def false_twin_partition(g: Graph) -> TwinPartition:
     neighborhood), so every class is an independent set.
     """
     by_nbhd: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
+    for v in range(g.n):  # in increasing order, so classes come out sorted
         by_nbhd.setdefault(g.adj[v], []).append(v)
-    classes = sorted((tuple(sorted(vs)) for vs in by_nbhd.values()),
-                     key=lambda c: c[0])
-    return TwinPartition(g.n, tuple(classes))
+    return TwinPartition(g.n, tuple(map(tuple, by_nbhd.values())))
 
 
 def _class_of(p: TwinPartition) -> dict[int, int]:
@@ -232,11 +229,9 @@ def quotient(g: Graph) -> QuotientResult:
 def directed_twin_partition(d: OrientedGraph) -> TwinPartition:
     """Group vertices with identical in- and out-neighborhoods."""
     by_nbhd: dict[tuple, list[int]] = {}
-    for v in range(d.n):
+    for v in range(d.n):  # in increasing order, so classes come out sorted
         by_nbhd.setdefault((d.in_adj[v], d.out_adj[v]), []).append(v)
-    classes = sorted((tuple(sorted(vs)) for vs in by_nbhd.values()),
-                     key=lambda c: c[0])
-    return TwinPartition(d.n, tuple(classes))
+    return TwinPartition(d.n, tuple(map(tuple, by_nbhd.values())))
 
 
 def directed_quotient(d: OrientedGraph) -> QuotientResult:
@@ -342,14 +337,17 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), frozenset(cut))
 
 
+def non_clique_block(g: Graph, dec: BlockDecomposition) -> frozenset[int] | None:
+    """The first block of ``dec`` (the blocks of ``g``) that does not
+    induce a clique, or ``None`` when every block does."""
+    return next((blk for blk in dec.blocks
+                 if any(len(g.adj[v] & blk) < len(blk) - 1 for v in blk)),
+                None)
+
+
 def is_block_graph(g: Graph) -> bool:
     """True when every block of ``g`` induces a clique."""
-    for blk in block_decomposition(g).blocks:
-        vs = sorted(blk)
-        for u, v in combinations(vs, 2):
-            if not g.has_edge(u, v):
-                return False
-    return True
+    return non_clique_block(g, block_decomposition(g)) is None
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:

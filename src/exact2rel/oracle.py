@@ -25,9 +25,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
-from .graphs import (Graph, OrientedGraph, from_arc_list, from_edge_list,
-                     is_block_graph, is_forest, quotient, underlying_graph)
-from .rooted import recognize_oriented
+from .graphs import (Graph, OrientedGraph, directed_quotient, from_arc_list,
+                     from_edge_list, is_block_graph, is_forest, quotient,
+                     underlying_graph)
 from .trees import LabeledTree, canonical_form, subtree_key
 
 LETTERS = "abcdefg"
@@ -475,10 +475,9 @@ def _undirected_criterion(g: Graph, k: int, zero_discrete: bool) -> bool:
 
 
 def _oriented_criterion(d: OrientedGraph, zero_discrete: bool) -> bool:
-    if zero_discrete:
-        return (is_forest(underlying_graph(d))
-                and all(len(d.in_adj[v]) <= 1 for v in range(d.n)))
-    return recognize_oriented(d).decision
+    q = d if zero_discrete else directed_quotient(d).graph
+    return (all(len(ins) <= 1 for ins in q.in_adj)
+            and is_forest(underlying_graph(q)))
 
 
 def check_characterization(budget: EnumerationBudget,
@@ -489,8 +488,9 @@ def check_characterization(budget: EnumerationBudget,
 
     For k=2 the undirected criterion is: the false-twin quotient is a
     block graph (the graph itself, under ``zero_discrete_only``); the
-    oriented criterion is forest shape plus in-degree <= 1 in the twin
-    quotient (in the graph itself under ``zero_discrete_only``).  The
+    oriented criterion, ``recognize_oriented``'s closed form, is forest
+    shape plus in-degree <= 1 in the twin quotient (in the graph itself
+    under ``zero_discrete_only``).  The
     oriented side stays capped at 4 vertices to keep the report text
     byte-stable, not for cost.  For k=1 the criterion is forest; it holds
     only under ``zero_discrete_only`` (or trivially for max_leaves <= 3),

@@ -17,8 +17,8 @@ from .graphs import (Graph, OrientedGraph, TwinPartition,
                      connected_components, directed_quotient, find_cycle,
                      from_arc_list, underlying_graph)
 from .newick import subtree_text
-from .trees import (LabeledTree, RootedLabeledTree, certify_relation,
-                    is_canonical, relation_pairs)
+from .trees import (LabeledTree, RootedLabeledTree, _Draft,
+                    certify_relation, is_canonical, relation_pairs)
 
 
 def format_rooted_newick(t: RootedLabeledTree) -> str:
@@ -59,10 +59,9 @@ def directed_explain(t: RootedLabeledTree, k: int) -> OrientedGraph:
 
 def enumerate_rooted(t: LabeledTree) -> set[RootedLabeledTree]:
     """All rooted canonical trees whose unrooted reduction is ``t``,
-    generated by three moves: root at an interior vertex; subdivide a
-    positive-weight leaf edge, hanging the leaf from the new root by a
-    0-edge; subdivide an edge of weight m > 1 into positive parts
-    (j, m - j).
+    generated by two moves: root at an interior vertex; split an edge of
+    weight m > 0 into (j, m - j) at a new root, where a part may be 0
+    only toward a leaf.
 
     Args:
         t: canonical tree with at least 2 vertices.
@@ -70,7 +69,7 @@ def enumerate_rooted(t: LabeledTree) -> set[RootedLabeledTree]:
     Raises:
         ValueError: single-vertex tree, or a non-canonical input.
 
-    Note: for the one degenerate canonical tree none of the moves apply
+    Note: for the one degenerate canonical tree neither move applies
     to — two leaves joined by a weight-0 edge — this returns the empty
     set even though rooting mid-edge would be shape-valid; see the
     package tests for the precise boundary.
@@ -80,28 +79,19 @@ def enumerate_rooted(t: LabeledTree) -> set[RootedLabeledTree]:
     if not is_canonical(t):
         raise ValueError("input tree must be canonical")
 
-    out: set[RootedLabeledTree] = set()
     base_edges = t.weighted_edges()
-
-    for v in t.interior_vertices():
-        out.add(RootedLabeledTree.build(t.nv, base_edges, t.names, root=v))
+    out = {RootedLabeledTree.build(t.nv, base_edges, t.names, root=v)
+           for v in t.interior_vertices()}
 
     r = t.nv  # id for the inserted root
-    for v in t.leaf_vertices:
-        (w,) = t.adj[v].keys()
-        lam = t.adj[v][w]
-        if lam <= 0:
+    for i, (u, v, m) in enumerate(base_edges):
+        if m == 0:
             continue
-        edges = [e for e in base_edges if set(e[:2]) != {v, w}]
-        edges += [(v, r, 0), (r, w, lam)]
-        out.add(RootedLabeledTree.build(t.nv + 1, edges, t.names, root=r))
-
-    for u, v, m in base_edges:
-        if m <= 1:
-            continue
-        for j in range(1, m):
-            edges = [e for e in base_edges if set(e[:2]) != {u, v}]
-            edges += [(u, r, j), (r, v, m - j)]
+        rest = base_edges[:i] + base_edges[i + 1:]
+        lo = 0 if u in t.names else 1
+        hi = m if v in t.names else m - 1
+        for j in range(lo, hi + 1):
+            edges = rest + [(u, r, j), (r, v, m - j)]
             out.add(RootedLabeledTree.build(t.nv + 1, edges, t.names, root=r))
 
     return out
@@ -113,21 +103,25 @@ def enumerate_rooted(t: LabeledTree) -> set[RootedLabeledTree]:
 
 @dataclass(frozen=True)
 class OrientedOutcome:
-    """Decision for an oriented graph, with a refusal certificate.
+    """Yes/no decision for an oriented graph, like ``RecognitionOutcome``.
 
-    On ``decision=False`` the certificate is either the vertex set of a
-    cycle in the underlying graph, or a triple (x, y, z) of original
-    vertices whose twin-class representatives induce x -> z <- y in the
-    quotient.
+    On yes, ``witness`` is a rooted tree whose level-2 directed relation
+    is exactly the input.  On no, ``reason`` is ``"cycle"`` and the
+    certificate the vertex set of a cycle in the underlying graph, or
+    ``"in-star"`` and a triple (x, y, z) of original vertices whose
+    twin-class representatives induce x -> z <- y in the quotient.
     """
 
     decision: bool
+    witness: RootedLabeledTree | None
     certificate: tuple[int, ...] | None
     reason: str
 
 
 def recognize_oriented(d: OrientedGraph) -> OrientedOutcome:
-    """Decide whether some rooted tree produces ``d`` at level 2.
+    """Decide whether some rooted tree produces ``d`` at level 2 and
+    build a witness when one does, from one directed quotient and one
+    underlying graph of it.
 
     Holds exactly when the directed twin quotient is a disjoint union of
     arborescences: its underlying graph is a forest and no quotient
@@ -137,69 +131,66 @@ def recognize_oriented(d: OrientedGraph) -> OrientedOutcome:
     ``{a->c, a->d, b->c, b->d}`` (underlying C4) collapses to a single
     arc and is produced by a root with children a, b at weight 0 and
     c, d at weight 2.
-    """
-    return _decide(d, build=False)[0]
 
-
-def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
-    """Build a rooted tree whose level-2 directed relation is ``d``.
-
-    Per quotient component: vertices with out-arcs become interior tree
-    vertices, each quotient arc an edge of weight 2; arc-less endpoints
-    stay leaves at weight 2; every interior vertex receives its class
-    members as pendant 0-edge leaves (members of arc-less classes attach
-    at weight 2 instead); the component is rooted at its unique source.
-    Multiple components hang from a fresh root by weight-3 edges; a
-    component that is a single unpaired vertex hangs as a bare weight-3
-    leaf, so no interior vertex is left with only one child.
+    The witness, per quotient component: vertices with out-arcs become
+    interior tree vertices, each quotient arc an edge of weight 2;
+    arc-less endpoints stay leaves at weight 2; every interior vertex
+    receives its class members as pendant 0-edge leaves (members of
+    arc-less classes attach at weight 2 instead); the component is
+    rooted at its unique source.  Multiple components hang from a fresh
+    root by weight-3 edges; a component that is a single unpaired
+    vertex hangs as a bare weight-3 leaf, so no interior vertex is left
+    with only one child.  The witness is checked before it is returned.
 
     Raises:
-        ValueError: when recognition refuses ``d``.
+        ValueError: an empty graph.
     """
-    outcome, t = _decide(d, build=True)
-    if t is None:
-        raise ValueError(f"not explainable ({outcome.reason}): "
-                         f"certificate {outcome.certificate}")
-    return t
-
-
-def _decide(d: OrientedGraph, build: bool
-            ) -> tuple[OrientedOutcome, RootedLabeledTree | None]:
-    """``recognize_oriented``'s outcome and, on yes when ``build`` is
-    set, ``construct_oriented``'s tree, from one directed quotient and
-    one underlying graph of it."""
+    if d.n == 0:
+        raise ValueError("the empty graph has no tree: a tree needs a leaf")
     qres = directed_quotient(d)
     p, q = qres.partition, qres.graph
     reps = p.representatives
     u = underlying_graph(q)
     cyc = find_cycle(u)
     if cyc is not None:
-        return OrientedOutcome(False, tuple(sorted(reps[v] for v in cyc)),
-                               "cycle"), None
+        return OrientedOutcome(False, None,
+                               tuple(sorted(reps[v] for v in cyc)), "cycle")
     for z in range(q.n):
         if len(q.in_adj[z]) >= 2:
             x, y = sorted(q.in_adj[z])[:2]
-            return OrientedOutcome(False, (reps[x], reps[y], reps[z]),
-                                   "in-star"), None
-    return (OrientedOutcome(True, None, ""),
-            _construct(d, p, q, u) if build else None)
+            return OrientedOutcome(False, None, (reps[x], reps[y], reps[z]),
+                                   "in-star")
+    return OrientedOutcome(True, _construct(d, p, q, u), None, "")
+
+
+def construct_oriented(d: OrientedGraph) -> RootedLabeledTree:
+    """``recognize_oriented``'s witness: a rooted tree whose level-2
+    directed relation is ``d``.
+
+    Raises:
+        ValueError: an empty graph, or when recognition refuses ``d``.
+    """
+    outcome = recognize_oriented(d)
+    if not outcome.decision:
+        raise ValueError(f"not explainable ({outcome.reason}): "
+                         f"certificate {outcome.certificate}")
+    return outcome.witness
 
 
 def _construct(d: OrientedGraph, p: TwinPartition, q: OrientedGraph,
                u: Graph) -> RootedLabeledTree:
-    """``construct_oriented`` from the partition, the quotient and its
-    underlying graph ``u`` that ``_decide`` accepted, self-checked."""
+    """``recognize_oriented``'s witness from the partition, the quotient
+    and its underlying graph ``u`` that it accepted, self-checked."""
     members = p.classes  # by quotient vertex
     # quotient components, by smallest quotient vertex
     comps = [sorted(c) for c in connected_components(u)]
+    draft = _Draft()
 
-    edges: list[tuple[int, int, int]] = []
-    names: dict[int, str] = {}
-    next_id = [0]
-
-    def fresh() -> int:
-        next_id[0] += 1
-        return next_id[0] - 1
+    def hang(x: int, v: int, w: int) -> int:
+        """Hang class ``v``'s members from ``x`` on w-edges; returns ``x``."""
+        for m in members[v]:
+            draft.link(x, draft.vertex(str(m)), w)
+        return x
 
     def build_component(comp: list[int], solo: bool) -> int:
         """Returns the component's root vertex id."""
@@ -209,29 +200,16 @@ def _construct(d: OrientedGraph, p: TwinPartition, q: OrientedGraph,
             (v,) = comp
             if len(members[v]) == 1 and not solo:
                 # a lone vertex can hang straight off the shared root
-                leaf = fresh()
-                names[leaf] = str(members[v][0])
-                return leaf
-            hub = fresh()
-            for m in members[v]:
-                leaf = fresh()
-                names[leaf] = str(m)
-                edges.append((hub, leaf, 0))
-            return hub
-        vert = {v: fresh() for v in internal}
+                return draft.vertex(str(members[v][0]))
+            return hang(draft.vertex(), v, 0)
+        vert = {v: draft.vertex() for v in internal}
         for v in internal:
-            for m in members[v]:
-                leaf = fresh()
-                names[leaf] = str(m)
-                edges.append((vert[v], leaf, 0))
+            hang(vert[v], v, 0)
             for y in q.out_adj[v]:
                 if y in vert:
-                    edges.append((vert[v], vert[y], 2))
+                    draft.link(vert[v], vert[y], 2)
                 else:
-                    for m in members[y]:
-                        leaf = fresh()
-                        names[leaf] = str(m)
-                        edges.append((vert[v], leaf, 2))
+                    hang(vert[v], y, 2)
         (source,) = [v for v in comp if not q.in_adj[v]]
         return vert[source]
 
@@ -239,11 +217,11 @@ def _construct(d: OrientedGraph, p: TwinPartition, q: OrientedGraph,
     if len(roots) == 1:
         root = roots[0]
     else:
-        root = fresh()
+        root = draft.vertex()
         for rc in roots:
-            edges.append((root, rc, 3))
+            draft.link(root, rc, 3)
 
-    t = RootedLabeledTree.build(next_id[0], edges, names, root=root)
+    t = draft.rooted(root)
     vertex = [t.vertex_of(str(v)) for v in range(d.n)]
     arcs = [(vertex[x], vertex[y]) for x, nbrs in enumerate(d.out_adj)
             for y in nbrs]

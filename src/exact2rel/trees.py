@@ -353,14 +353,55 @@ def scale(t: LabeledTree, c: int) -> LabeledTree:
 # Canonicalization, restriction and forgetting the root
 # ======================================================================
 
-def _compact(adj: dict[int, dict[int, int]], names: dict[int, str]) -> LabeledTree:
-    """Rebuild a LabeledTree from a mutable adjacency, renumbering ids."""
+def _compact(adj: dict[int, dict[int, int]], names: dict[int, str],
+             root: int | None = None) -> LabeledTree | RootedLabeledTree:
+    """Rebuild a tree from a mutable adjacency, renumbering ids: a
+    LabeledTree, or a RootedLabeledTree hung from ``root`` if given."""
     verts = sorted(adj)
     new_id = {v: i for i, v in enumerate(verts)}
-    edges = [(new_id[u], new_id[v], w) for u in adj
-             for v, w in adj[u].items() if new_id[u] < new_id[v]]
+    edges = [(new_id[u], new_id[v], w) for u, nbrs in adj.items()
+             for v, w in nbrs.items() if u < v]  # renumbering keeps order
     new_names = {new_id[v]: s for v, s in names.items() if v in new_id}
-    return LabeledTree.build(len(verts), edges, new_names)
+    if root is None:
+        return LabeledTree.build(len(verts), edges, new_names)
+    return RootedLabeledTree.build(len(verts), edges, new_names, root=new_id[root])
+
+
+class _Draft:
+    """A tree under construction: weighted adjacency, leaf names and
+    fresh ids in increasing order; ``tree`` or ``rooted`` builds it."""
+
+    __slots__ = ("adj", "names", "nv")
+
+    def __init__(self) -> None:
+        self.adj: dict[int, dict[int, int]] = {}
+        self.names: dict[int, str] = {}
+        self.nv = 0
+
+    def vertex(self, name: str | None = None) -> int:
+        v = self.nv
+        self.nv += 1
+        self.adj[v] = {}
+        if name is not None:
+            self.names[v] = name
+        return v
+
+    def link(self, u: int, v: int, w: int) -> None:
+        self.adj[u][v] = w
+        self.adj[v][u] = w
+
+    def add_tree(self, t: LabeledTree) -> list[int]:
+        """Copy ``t`` in; returns the new ids of its vertices, in order."""
+        ids = [self.vertex(t.names.get(v)) for v in range(t.nv)]
+        for u, v, w in t.weighted_edges():
+            self.link(ids[u], ids[v], w)
+        return ids
+
+    def tree(self) -> LabeledTree:
+        return _compact(self.adj, self.names)
+
+    def rooted(self, root: int) -> RootedLabeledTree:
+        return _compact(self.adj, self.names, root)
 
 
 def _smooth(adj: dict[int, dict[int, int]], v: int) -> None:

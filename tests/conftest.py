@@ -537,7 +537,7 @@ def brute_force_rootings(t: LabeledTree):
     found by trying every placement directly: the root at each interior
     vertex, or splitting each edge weight into (a, w - a) for every a.
     Placements failing rooted canonicity or not reducing back to ``t``
-    are discarded.  Independent of the three-move enumeration in
+    are discarded.  Independent of the two-move enumeration in
     ``rooted.enumerate_rooted``; used to validate it.
     """
     if t.nv < 2:
@@ -559,6 +559,54 @@ def brute_force_rootings(t: LabeledTree):
             if is_canonical_rooted(rt) and canonicalize(underlying_tree(rt)) == t:
                 out.add(rt)
     return out
+
+
+def reference_enumerate_rooted(t: LabeledTree):
+    """``rooted.enumerate_rooted`` as three moves, filtering each edge
+    list by endpoints per rooting: root at an interior vertex; subdivide
+    a positive-weight leaf edge, hanging the leaf from the new root by a
+    0-edge; subdivide an edge of weight m > 1 into positive parts
+    (j, m - j).  Used to gate the one-loop form."""
+    if t.nv < 2:
+        raise ValueError("cannot root a single-vertex tree")
+    if not is_canonical(t):
+        raise ValueError("input tree must be canonical")
+
+    out = set()
+    base_edges = t.weighted_edges()
+
+    for v in t.interior_vertices():
+        out.add(RootedLabeledTree.build(t.nv, base_edges, t.names, root=v))
+
+    r = t.nv  # id for the inserted root
+    for v in t.leaf_vertices:
+        (w,) = t.adj[v].keys()
+        lam = t.adj[v][w]
+        if lam <= 0:
+            continue
+        edges = [e for e in base_edges if set(e[:2]) != {v, w}]
+        edges += [(v, r, 0), (r, w, lam)]
+        out.add(RootedLabeledTree.build(t.nv + 1, edges, t.names, root=r))
+
+    for u, v, m in base_edges:
+        if m <= 1:
+            continue
+        for j in range(1, m):
+            edges = [e for e in base_edges if set(e[:2]) != {u, v}]
+            edges += [(u, r, j), (r, v, m - j)]
+            out.add(RootedLabeledTree.build(t.nv + 1, edges, t.names, root=r))
+
+    return out
+
+
+def reference_non_clique_block(g, dec):
+    """``graphs.non_clique_block`` as a test of every vertex pair of
+    each block in sorted order, the loop ``recognize`` ran."""
+    for blk in dec.blocks:
+        vs = sorted(blk)
+        if any(not g.has_edge(u, v) for u, v in combinations(vs, 2)):
+            return blk
+    return None
 
 
 def reference_canonicalize(t):

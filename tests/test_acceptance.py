@@ -16,7 +16,8 @@ from conftest import (all_labeled_graphs, all_labeled_oriented,
                       random_canonical_tree, random_false_twin_blowup,
                       random_tree)
 from exact2rel import (EnumerationBudget, all_witnesses, canonicalize,
-                       check_characterization, directed_quotient,
+                       check_characterization, construct_oriented,
+                       directed_quotient,
                        enumerate_rooted, explain, explainable_set,
                        format_newick, from_arc_list, from_edge_list,
                        induced_subgraph,
@@ -156,7 +157,11 @@ def test_c06_oriented_class_is_quotient_arborescence_forests():
         predicted = (is_forest(underlying_graph(q))
                      and all(len(q.in_adj[z]) <= 1 for z in range(q.n)))
         assert rs.contains(d) == predicted
-        assert recognize_oriented(d).decision == predicted
+        out = recognize_oriented(d)
+        assert out.decision == predicted
+        assert (out.witness is None) == (not predicted)
+        if predicted:
+            assert out.witness == construct_oriented(d)
         if predicted:
             assert not has_directed_cycle(d)
             assert recognize(underlying_graph(d)).decision

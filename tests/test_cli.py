@@ -79,6 +79,13 @@ def test_recognize_oriented(write, capsys):
     assert capsys.readouterr().out == "no (cycle)\ncertificate: 0 1 2\n"
 
 
+def test_recognize_empty_graph_is_a_usage_error(write):
+    empty = write("e.txt", "0 0\n")
+    for extra in ([], ["--oriented"]):
+        assert _run(["recognize", empty, *extra]) == (
+            2, "", "error: the empty graph has no tree: a tree needs a leaf\n")
+
+
 def test_verify_failure_lists_differences(write, capsys):
     tree = write("t.nwk", "(0:2,1:0,(2:0,3:2):2);\n")
     graph = write("g.txt", "4 2\n0 1\n1 2\n")
@@ -215,8 +222,9 @@ def test_shared_parser_answers_like_a_fresh_one(write, monkeypatch):
 
 
 def test_oriented_recognize_decides_once(write, monkeypatch):
-    """One directed quotient and one underlying graph per call, yes or no."""
-    calls = {"quotient": 0, "underlying": 0}
+    """One ``recognize_oriented``, one directed quotient and one
+    underlying graph per call, yes or no."""
+    calls = {"quotient": 0, "underlying": 0, "recognize": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -229,9 +237,12 @@ def test_oriented_recognize_decides_once(write, monkeypatch):
         wrapped = counted(key, getattr(graphs, name))
         for mod in (graphs, rooted):
             monkeypatch.setattr(mod, name, wrapped)
+    wrapped = counted("recognize", rooted.recognize_oriented)
+    for mod in (rooted, cli):
+        monkeypatch.setattr(mod, "recognize_oriented", wrapped)
     for text, code in ((CHAIN, 0), ("4 3\n0 1\n0 2\n2 3\n", 0),
                        (TRIANGLE, 1), ("4 3\n0 1\n2 1\n3 2\n", 1)):
-        calls.update(quotient=0, underlying=0)
+        calls.update(quotient=0, underlying=0, recognize=0)
         argv = ["recognize", write("d.txt", text), "--oriented"]
         assert _run(argv)[0] == code
-        assert calls == {"quotient": 1, "underlying": 1}
+        assert calls == {"quotient": 1, "underlying": 1, "recognize": 1}

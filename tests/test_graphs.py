@@ -9,8 +9,9 @@ from conftest import (all_labeled_graphs, all_labeled_oriented,
                       naive_blocks, naive_cut_vertices, random_graph,
                       reference_directed_quotient, reference_from_arc_list,
                       reference_from_edge_list, reference_induced_subgraph,
-                      reference_parse_graph, reference_parse_oriented,
-                      reference_quotient, reference_underlying_graph)
+                      reference_non_clique_block, reference_parse_graph,
+                      reference_parse_oriented, reference_quotient,
+                      reference_underlying_graph)
 from exact2rel import (GraphFormatError, block_decomposition,
                        connected_components, directed_quotient,
                        directed_twin_partition, false_twin_partition,
@@ -18,6 +19,7 @@ from exact2rel import (GraphFormatError, block_decomposition,
                        from_arc_list, from_edge_list, induced_subgraph,
                        is_block_graph, is_forest, parse_graph, parse_oriented,
                        quotient, underlying_graph)
+from exact2rel.graphs import non_clique_block
 
 
 def test_from_edge_list_basic():
@@ -152,6 +154,73 @@ def test_block_graph_predicate_matches_naive():
     for _ in range(120):
         g = random_graph(rng, 6, 0.4)
         assert is_block_graph(g) == naive_is_block_graph(g)
+
+
+def _random_block_chain(rng):
+    """2-4 pieces of 2-5 vertices, each a cycle (or an edge) plus random
+    chords and sharing one vertex with the pieces before it: the pieces
+    are the blocks, and often more than one is not a clique."""
+    n, edges = 1, []
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(2, 5)
+        vs = [rng.randrange(n), *range(n, n + size - 1)]
+        n += size - 1
+        edges += zip(vs, vs[1:] + vs[:1]) if size > 2 else [vs]
+        edges += [pr for pr in combinations(vs, 2) if rng.random() < 0.4]
+    return from_edge_list(n, edges)
+
+
+def _non_clique_gate_graphs():
+    """Every labeled graph with <= 5 vertices and its quotient, then 300
+    seeded block chains, where two blocks can both fail to be cliques."""
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            yield g
+            yield quotient(g).graph
+    rng = random.Random(29)
+    for _ in range(300):
+        yield _random_block_chain(rng)
+
+
+def _is_clique(g, blk):
+    return all(g.has_edge(u, v) for u, v in combinations(sorted(blk), 2))
+
+
+def _non_clique_disagreements(find):
+    """The gate graphs on which ``find`` names another block than the
+    pairwise reference, and how many have two non-clique blocks."""
+    wrong, several = [], 0
+    for g in _non_clique_gate_graphs():
+        dec = block_decomposition(g)
+        if find(g, dec) != reference_non_clique_block(g, dec):
+            wrong.append(g)
+        several += sum(not _is_clique(g, blk) for blk in dec.blocks) >= 2
+    return wrong, several
+
+
+def test_non_clique_block_matches_pairwise_reference():
+    wrong, several = _non_clique_disagreements(non_clique_block)
+    assert wrong == [] and several > 100
+
+
+def test_non_clique_gate_tells_the_first_bad_block_from_the_last():
+    def last_bad(g, dec):
+        bad = [blk for blk in dec.blocks if not _is_clique(g, blk)]
+        return bad[-1] if bad else None
+
+    wrong, _ = _non_clique_disagreements(last_bad)
+    assert wrong
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 30), st.sampled_from([0.1, 0.2, 0.4, 0.7]),
+       st.integers(0, 2**32 - 1).map(random.Random))
+def test_non_clique_block_matches_pairwise_reference_on_random_graphs(
+        n, density, rng):
+    g = random_graph(rng, n, density)
+    for h in (g, quotient(g).graph):
+        dec = block_decomposition(h)
+        assert non_clique_block(h, dec) == reference_non_clique_block(h, dec)
 
 
 def test_block_graph_examples():

@@ -9,7 +9,7 @@ from conftest import (all_labeled_oriented, ancestors, brute_force_rootings,
                       lca, random_arborescence_forest, random_canonical_tree,
                       random_directed_twin_blowup, random_rooted_tree,
                       random_tree, reference_directed_relation_pairs,
-                      up_weight)
+                      reference_enumerate_rooted, up_weight)
 from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize, construct_oriented, directed_explain,
                        directed_relation_pairs, directed_twin_partition,
                        enumerate_rooted, enumerate_topologies,
@@ -17,6 +17,7 @@ from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize, construct_o
                        is_canonical_rooted, is_zero_discrete, parse_newick,
                        parse_oriented, parse_rooted_newick, recognize_oriented,
                        underlying_tree)
+from exact2rel.oracle import unlabeled_shapes
 from exact2rel.trees import certify_relation
 
 
@@ -120,6 +121,31 @@ def test_enumerate_rooted_matches_brute_force():
         assert enumerate_rooted(t) == brute_force_rootings(t)
 
 
+def test_enumerate_rooted_matches_the_three_moves():
+    """The one split loop gives the rootings of the three moves it
+    replaced, on every canonical weighting from {0, 1, 3} (interior
+    edges {1, 3}) of every shape with 2-5 leaves.  An edge's splits
+    depend only on its ends and on whether its weight is 0, 1 or more,
+    so these weights reach every case of every edge."""
+    trees = rootings = 0
+    for n in range(2, 6):
+        for shape in unlabeled_shapes(n):
+            edges = shape.weighted_edges()
+            choices = [(0, 1, 3) if u in shape.names or v in shape.names
+                       else (1, 3) for u, v, _ in edges]
+            for ws in product(*choices):
+                t = LabeledTree.build(shape.nv, [
+                    (u, v, w) for (u, v, _), w in zip(edges, ws)], shape.names)
+                got = enumerate_rooted(t)
+                assert got == reference_enumerate_rooted(t), ws
+                trees += 1
+                rootings += len(got)
+    assert (trees, rootings) == (1974, 19905)
+    # the two 2-leaf cases: a 0-edge has no rooting, a weight-m edge m + 1
+    assert enumerate_rooted(parse_newick("(b:0)a;")) == set()
+    assert len(enumerate_rooted(parse_newick("(b:3)a;"))) == 4
+
+
 def test_zero_weight_pair_divergence():
     # the one shape where the move-based enumeration and the placement
     # search disagree: a weight-0 pair admits a midpoint rooting that no
@@ -152,6 +178,14 @@ def test_recognize_oriented_yes():
         out = recognize_oriented(from_arc_list(n, arcs))
         assert out.decision, arcs
         assert out.certificate is None
+
+
+def test_empty_oriented_graph_has_no_tree():
+    empty = from_arc_list(0, [])
+    for decide in (recognize_oriented, construct_oriented):
+        with pytest.raises(ValueError, match="^the empty graph has no tree: "
+                                             "a tree needs a leaf$"):
+            decide(empty)
 
 
 def test_recognize_oriented_no():

@@ -278,6 +278,28 @@ def test_source_imports_only_at_module_level():
                     f"{path.name}: {node.name} imports inside its body"
 
 
+def _imported(path):
+    """(module, name) of every name that a source file imports."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.module or "", a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(a.name, a.name) for a in node.names]
+    return out
+
+
+def test_cli_and_oracle_keep_to_public_entry_points():
+    """``cli`` imports no underscore name; ``oracle`` decides the oriented
+    side by its closed form and imports nothing from ``rooted``."""
+    src = Path(trees.__file__).parent
+    cli_names = [name for _, name in _imported(src / "cli.py")]
+    assert "recognize_oriented" in cli_names
+    assert [n for n in cli_names if n.startswith("_")] == []
+    assert [(m, n) for m, n in _imported(src / "oracle.py")
+            if "rooted" in (m.split(".")[-1], n)] == []
+
+
 def test_restrict_matches_rescan_reference():
     rng = random.Random(17)
     cases = 0
