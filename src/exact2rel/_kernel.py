@@ -148,7 +148,7 @@ def matching_weightings(n_pairs: int, paths: list[list[int]],
 def enumerate_rooted_arc_masks(
         n_leaves: int, pair_index: list[list[int]], paths: list[list[int]],
         min_w: list[int], max_w: int, k: int, zero_discrete: bool,
-        canonical_only: bool, interior_roots: list[list[list[int]]],
+        interior_roots: list[list[list[int]]],
         edge_roots: list[tuple[int, int, list[int], list[list[int]]]]
 ) -> set[int]:
     """All arc bitmasks of the directed relation over every weighting and
@@ -167,8 +167,8 @@ def enumerate_rooted_arc_masks(
     edge and the leaf set below it, and shared by every root; an edge's
     split is applied only at the root.  A zero part toward an interior
     endpoint is skipped: that root is the endpoint's own placement.
-    ``pair_index``, ``paths`` and ``canonical_only`` are unused; they keep
-    the signature the benchmark's hooks bind (``min_w``, ``max_w`` at 3-4).
+    ``pair_index`` and ``paths`` are unused; they keep the signature the
+    benchmark's hooks bind (``min_w``, ``max_w`` at 3-4).
     """
     n, cap, full = n_leaves, k + 1, (1 << n_leaves) - 1
     memo: dict[tuple[int, int], set] = {}  # (edge, leaves below) -> states

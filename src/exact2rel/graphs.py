@@ -99,7 +99,8 @@ class TwinPartition:
     """Partition of the vertex set into false-twin classes.
 
     ``classes`` holds each class as a sorted tuple of vertices, ordered
-    by the class representative (its smallest member).
+    by the class representative (its smallest member).  Properties give
+    the representatives and ``is_discrete``: no twins (point-determining).
     """
 
     n: int
@@ -109,6 +110,7 @@ class TwinPartition:
     def representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.classes)
 
+    @property
     def is_discrete(self) -> bool:
         """True when every class is a singleton."""
         return all(len(c) == 1 for c in self.classes)

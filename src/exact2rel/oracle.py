@@ -28,7 +28,7 @@ from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
 from .graphs import (Graph, OrientedGraph, directed_quotient, from_arc_list,
                      from_edge_list, is_block_graph, is_forest, quotient,
                      underlying_graph)
-from .trees import LabeledTree, canonical_form, subtree_key
+from .trees import LabeledTree, canonical_form, flat_form, subtree_key
 
 LETTERS = "abcdefg"
 
@@ -96,14 +96,14 @@ def _topologies(n: int) -> tuple[LabeledTree, ...]:
             names = dict(t.names)
             names[leaf] = new_name
             cand = LabeledTree.build(t.nv + 2, edges, names)
-            seen.setdefault(canonical_form(cand), cand)
+            seen.setdefault(flat_form(canonical_form(cand)), cand)
         for v in t.interior_vertices():
             leaf = t.nv
             edges = base + [(v, leaf, 0)]
             names = dict(t.names)
             names[leaf] = new_name
             cand = LabeledTree.build(t.nv + 1, edges, names)
-            seen.setdefault(canonical_form(cand), cand)
+            seen.setdefault(flat_form(canonical_form(cand)), cand)
     return tuple(seen[key] for key in sorted(seen))
 
 
@@ -193,7 +193,7 @@ class _Labeled(NamedTuple):
 
     shape: _Shape
     names: tuple[tuple[int, str], ...]
-    consts: tuple[int, ...]
+    consts: tuple[str, ...]
     key: itemgetter  # applied to the weights followed by ``consts``
 
 
@@ -205,27 +205,23 @@ def _labeled(n: int) -> tuple[_Labeled, ...]:
     Siblings in ``canonical_form`` are sorted by their smallest leaf
     names, which are distinct, so all weightings of one topology share
     one nesting with a slot per edge weight: the form of the topology
-    with weight ``-1 - e`` on edge ``e``.  It is flattened once, each
-    (one-character) string as its code point and each tuple closed by
-    -1, below every other token, so that flat keys sort as the nested
-    forms do."""
+    with weight ``-1 - e`` on edge ``e``.  Its ``flat_form`` is taken
+    once; an int token is the slot of a weight, every other token a
+    constant, so a witness's key is the flat key of its form."""
     out = []
     for t in _topologies(n):
         sh = _prepare(t)
         names = tuple((v, str(LETTERS.index(s))) for v, s in t.names.items())
         slots = tuple({y: -1 - e for y, e in nb} for nb in sh.nbrs)
-        consts: list[int] = []
+        consts: list[str] = []
         index: list[int] = []
-        stack: list = [canonical_form(LabeledTree(t.nv, slots, dict(names)))]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, tuple):
-                stack += [None, *reversed(x)]
-            elif isinstance(x, int):
+        form = canonical_form(LabeledTree(t.nv, slots, dict(names)))
+        for x in flat_form(form):
+            if isinstance(x, int):
                 index.append(-1 - x)
             else:
                 index.append(len(sh.edges) + len(consts))
-                consts.append(-1 if x is None else ord(x))
+                consts.append(x)
         out.append(_Labeled(sh, names, tuple(consts), itemgetter(*index)))
     return tuple(out)
 
@@ -435,8 +431,8 @@ def rooted_explainable_set(budget: EnumerationBudget,
                      else shape.min_w_free)
             acc |= enumerate_rooted_arc_masks(
                 n, [], shape.paths, min_w, W, k,
-                budget.zero_discrete_only, budget.canonical_only,
-                shape.interior_roots, shape.edge_roots)
+                budget.zero_discrete_only, shape.interior_roots,
+                shape.edge_roots)
         out[n] = frozenset(_orbit_minima(acc, _arc_maps(n)))
     return RootedExplainableSet(k, budget, out)
 

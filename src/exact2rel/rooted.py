@@ -12,6 +12,8 @@ trees over a given unrooted canonical tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 from .graphs import (Graph, OrientedGraph, TwinPartition,
                      connected_components, directed_quotient, find_cycle,
@@ -57,44 +59,40 @@ def directed_explain(t: RootedLabeledTree, k: int) -> OrientedGraph:
 # Enumeration of rooted canonical trees over an unrooted one
 # ======================================================================
 
-def enumerate_rooted(t: LabeledTree) -> set[RootedLabeledTree]:
-    """All rooted canonical trees whose unrooted reduction is ``t``,
-    generated by two moves: root at an interior vertex; split an edge of
-    weight m > 0 into (j, m - j) at a new root, where a part may be 0
-    only toward a leaf.
+def enumerate_rooted(t: LabeledTree) -> Iterator[RootedLabeledTree]:
+    """An iterator over all rooted canonical trees whose unrooted
+    reduction is ``t``, each yielded once, from two moves: root at an
+    interior vertex (these first); split an edge of weight m > 0 into
+    (j, m - j) at a new root, where a part may be 0 only toward a leaf.
+    Every interior vertex of ``t`` has degree >= 3 and no interior edge
+    weighs 0, so no two placements give equal rooted trees.
 
     Args:
         t: canonical tree with at least 2 vertices.
 
     Raises:
-        ValueError: single-vertex tree, or a non-canonical input.
+        ValueError: at the call: single-vertex tree, or a non-canonical input.
 
     Note: for the one degenerate canonical tree neither move applies
-    to — two leaves joined by a weight-0 edge — this returns the empty
-    set even though rooting mid-edge would be shape-valid; see the
-    package tests for the precise boundary.
+    to — two leaves joined by a weight-0 edge — this yields nothing
+    even though rooting mid-edge would be shape-valid; see the package
+    tests for the precise boundary.
     """
     if t.nv < 2:
         raise ValueError("cannot root a single-vertex tree")
     if not is_canonical(t):
         raise ValueError("input tree must be canonical")
-
-    base_edges = t.weighted_edges()
-    out = {RootedLabeledTree.build(t.nv, base_edges, t.names, root=v)
-           for v in t.interior_vertices()}
-
+    edges = t.weighted_edges()
     r = t.nv  # id for the inserted root
-    for i, (u, v, m) in enumerate(base_edges):
-        if m == 0:
-            continue
-        rest = base_edges[:i] + base_edges[i + 1:]
-        lo = 0 if u in t.names else 1
-        hi = m if v in t.names else m - 1
-        for j in range(lo, hi + 1):
-            edges = rest + [(u, r, j), (r, v, m - j)]
-            out.add(RootedLabeledTree.build(t.nv + 1, edges, t.names, root=r))
-
-    return out
+    return chain(
+        (RootedLabeledTree.build(t.nv, edges, t.names, root=v)
+         for v in t.interior_vertices()),
+        (RootedLabeledTree.build(
+            t.nv + 1, edges[:i] + edges[i + 1:] + [(u, r, j), (r, v, m - j)],
+            t.names, root=r)
+         for i, (u, v, m) in enumerate(edges) if m > 0
+         for j in range(0 if u in t.names else 1,
+                        m + 1 if v in t.names else m)))
 
 
 # ======================================================================

@@ -28,7 +28,7 @@ T = TypeVar("T")
 
 class _Tree:
     """What both tree types share: the storage, the queries, and
-    equality and hashing by the type's own canonical form."""
+    equality and hashing by one key, ``flat_form`` of its canonical form."""
 
     __slots__ = ("nv", "adj", "names", "_name_to_vertex")
 
@@ -55,11 +55,10 @@ class _Tree:
                 for v, w in self.adj[u].items() if u < v]
 
     def __eq__(self, other: object) -> bool:
-        return (type(other) is type(self)
-                and flat_form(self._form()) == flat_form(other._form()))
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._form())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(leaves={self.leaf_names})"
@@ -99,8 +98,8 @@ class LabeledTree(_Tree):
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.weighted_edges())
 
-    def _form(self) -> tuple:
-        return canonical_form(self)
+    def _key(self) -> tuple:
+        return flat_form(canonical_form(self))
 
 
 class RootedLabeledTree(_Tree):
@@ -133,8 +132,8 @@ class RootedLabeledTree(_Tree):
             raise ValueError("a rooted tree needs at least one leaf under the root")
         return cls(nv, adj, named, root, parent)
 
-    def _form(self) -> tuple:
-        return rooted_canonical_form(self)
+    def _key(self) -> tuple:
+        return flat_form(rooted_canonical_form(self))
 
 
 def _validate(nv: int, edges: Iterable[tuple[int, int, int]],
@@ -583,16 +582,19 @@ def rooted_canonical_form(t: RootedLabeledTree) -> tuple:
     return ("R", subtree_key(t.adj, t.names, t.root))
 
 
-def flat_form(form: tuple) -> list:
-    """``form`` flattened without recursion, each nested tuple written as
-    ``None``, its length and its items: equal lists exactly for equal forms."""
+def flat_form(form: tuple) -> tuple:
+    """The one flat key of a canonical form, built without recursion:
+    each nested tuple as its items and a closing ``""``.  Leaf names are
+    non-empty, so where two keys first differ a ``""`` meets only a name
+    or a ``""``, as a shorter tuple meets a longer one: keys are equal
+    exactly for equal forms and sort as the nested forms do."""
     out: list = []
     stack = [form]
     while stack:
         x = stack.pop()
         if isinstance(x, tuple):
-            out += (None, len(x))
+            stack.append("")
             stack += reversed(x)
         else:
             out.append(x)
-    return out
+    return tuple(out)

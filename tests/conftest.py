@@ -488,8 +488,8 @@ def reference_explainable_masks(budget, k, rooted=False):
             if rooted:
                 acc |= enumerate_rooted_arc_masks(
                     n, pair_index_of(n), sh.paths, min_w, W, k,
-                    budget.zero_discrete_only, budget.canonical_only,
-                    sh.interior_roots, sh.edge_roots)
+                    budget.zero_discrete_only, sh.interior_roots,
+                    sh.edge_roots)
             else:
                 acc |= enumerate_relation_masks(
                     len(sh.paths), sh.paths, min_w, W, k,

@@ -197,7 +197,7 @@ def test_c07_rooting_moves_are_complete():
         t = random_canonical_tree(rng, rng.randint(2, 5))
         if t.n_leaves == 2 and t.total_weight() == 0:
             continue
-        assert enumerate_rooted(t) == brute_force_rootings(t)
+        assert set(enumerate_rooted(t)) == brute_force_rootings(t)
         done += 1
     print("criterion 7: PASS — move enumeration == placement search "
           "(25 trees)")

@@ -96,6 +96,15 @@ def test_quotient_of_quotient_is_discrete():
             assert false_twin_partition(q).is_discrete
 
 
+def test_partitions_with_twins_are_not_discrete():
+    c4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    diamond = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    d = from_arc_list(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
+    assert not false_twin_partition(c4).is_discrete
+    assert not false_twin_partition(diamond).is_discrete
+    assert not directed_twin_partition(d).is_discrete
+
+
 def test_quotients_carry_their_twin_partition():
     for n in range(1, 6):
         for g in all_labeled_graphs(n):

@@ -124,8 +124,8 @@ def test_rooted_arc_masks_follow_directed_explain(k, max_leaves):
             expected = set().union(*(masks for _, masks in admitted))
             assert enumerate_rooted_arc_masks(
                 topo.n_leaves, pair_index_of(topo.n_leaves), sh.paths, min_w,
-                k + 1, k, zero_discrete, min_w is sh.min_w_canonical,
-                sh.interior_roots, sh.edge_roots) == expected
+                k + 1, k, zero_discrete, sh.interior_roots,
+                sh.edge_roots) == expected
 
 
 def odometer_agrees(topo, sh, k, max_w):
@@ -141,7 +141,7 @@ def odometer_agrees(topo, sh, k, max_w):
         min_w = sh.min_w_canonical if canonical else sh.min_w_free
         assert enumerate_rooted_arc_masks(
             n, pair_index, sh.paths, min_w, max_w, k, zero_discrete,
-            canonical, sh.interior_roots, sh.edge_roots) == masks
+            sh.interior_roots, sh.edge_roots) == masks
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

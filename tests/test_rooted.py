@@ -81,7 +81,7 @@ def test_enumerate_rooted_counts_pinned():
         "(a:2,b:0,(c:0,d:2):2);": 7,
     }
     for s, want in counts.items():
-        assert len(enumerate_rooted(parse_newick(s))) == want, s
+        assert len(list(enumerate_rooted(parse_newick(s)))) == want, s
 
 
 def test_enumerate_rooted_strings_pinned():
@@ -92,6 +92,17 @@ def test_enumerate_rooted_strings_pinned():
     assert sorted(format_rooted_newick(r) for r in rs) == [
         "((a:1,b:1):1,c:0);", "((a:1,c:1):1,b:0);",
         "(a:0,(b:1,c:1):1);", "(a:1,b:1,c:1);"]
+
+
+def test_enumerate_rooted_streams_and_checks_at_the_call():
+    rs = enumerate_rooted(parse_newick("(a:1,b:1,c:1);"))
+    assert iter(rs) is rs
+    # the interior root first, then one split of each leaf edge
+    assert [r.nv for r in rs] == [4, 5, 5, 5] and list(rs) == []
+    with pytest.raises(ValueError, match="single-vertex"):
+        enumerate_rooted(parse_newick("a;"))
+    with pytest.raises(ValueError, match="canonical"):
+        enumerate_rooted(parse_newick("((a:1,b:1):0,c:1,d:1);"))
 
 
 def test_enumerate_rooted_zero_leaf_edges():
@@ -118,7 +129,7 @@ def test_enumerate_rooted_matches_brute_force():
             t = random_canonical_tree(rng, rng.randint(2, 5))
             if not (t.n_leaves == 2 and t.total_weight() == 0):
                 break
-        assert enumerate_rooted(t) == brute_force_rootings(t)
+        assert set(enumerate_rooted(t)) == brute_force_rootings(t)
 
 
 def test_enumerate_rooted_matches_the_three_moves():
@@ -136,14 +147,14 @@ def test_enumerate_rooted_matches_the_three_moves():
             for ws in product(*choices):
                 t = LabeledTree.build(shape.nv, [
                     (u, v, w) for (u, v, _), w in zip(edges, ws)], shape.names)
-                got = enumerate_rooted(t)
-                assert got == reference_enumerate_rooted(t), ws
+                got = list(enumerate_rooted(t))
+                assert set(got) == reference_enumerate_rooted(t), ws
                 trees += 1
                 rootings += len(got)
     assert (trees, rootings) == (1974, 19905)
     # the two 2-leaf cases: a 0-edge has no rooting, a weight-m edge m + 1
-    assert enumerate_rooted(parse_newick("(b:0)a;")) == set()
-    assert len(enumerate_rooted(parse_newick("(b:3)a;"))) == 4
+    assert list(enumerate_rooted(parse_newick("(b:0)a;"))) == []
+    assert len(list(enumerate_rooted(parse_newick("(b:3)a;")))) == 4
 
 
 def test_zero_weight_pair_divergence():
@@ -151,7 +162,7 @@ def test_zero_weight_pair_divergence():
     # search disagree: a weight-0 pair admits a midpoint rooting that no
     # move generates
     t = parse_newick("(b:0)a;")
-    assert enumerate_rooted(t) == set()
+    assert list(enumerate_rooted(t)) == []
     brute = brute_force_rootings(t)
     assert len(brute) == 1
     assert format_rooted_newick(next(iter(brute))) == "(a:0,b:0);"

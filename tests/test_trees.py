@@ -1,21 +1,25 @@
 import ast
 import inspect
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import (random_canonical_tree, random_tree,
+from conftest import (random_canonical_tree, random_rooted_tree, random_tree,
                       reference_canonicalize, reference_restrict,
                       reference_underlying_tree)
 from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize,
-                       enumerate_rooted, explain, format_newick, is_canonical,
-                       is_zero_discrete, leaf_distance_matrix, newick,
-                       parse_newick, restrict, rooted, scale, trees,
-                       underlying_tree)
+                       enumerate_rooted, enumerate_topologies, explain,
+                       format_newick, is_canonical, is_zero_discrete,
+                       leaf_distance_matrix, newick, parse_newick, restrict,
+                       rooted, scale, trees, underlying_tree)
 from exact2rel.oracle import unlabeled_shapes
-from exact2rel.trees import canonical_form, rooted_canonical_form, tree_layout
+from exact2rel.trees import (canonical_form, flat_form, rooted_canonical_form,
+                             tree_layout)
 
 
 def caterpillar_p4():
@@ -198,6 +202,83 @@ def test_equality_is_equality_of_canonical_forms():
             assert (a == b) == (canonical_form(a) == canonical_form(b))
 
 
+def length_prefixed(form):
+    """Each tuple as ``None``, its length and its items: a flat encoding
+    that is equal exactly for equal forms but sorts by length first."""
+    out, stack = [], [form]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            out += (None, len(x))
+            stack += reversed(x)
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def keys_follow_forms(encode, forms):
+    """True when ``encode`` gives equal keys exactly for equal forms and
+    sorts the forms as their nested tuples sort."""
+    keys = [encode(f) for f in forms]
+    if not (len(set(zip(keys, forms))) == len(set(keys)) == len(set(forms))):
+        return False
+    try:
+        by_key = sorted(range(len(forms)), key=keys.__getitem__)
+    except TypeError:  # the first difference met tokens of two types
+        return False
+    return [forms[i] for i in by_key] == sorted(forms)
+
+
+def test_flat_keys_are_equal_and_sorted_as_the_forms():
+    rng = random.Random(20)
+    forms = []
+    for n in range(1, 6):
+        for topo in enumerate_topologies(n):
+            edges = topo.weighted_edges()
+            for ws in [[0] * len(edges)] + [
+                    [rng.randint(0, 2) for _ in edges] for _ in range(3)]:
+                t = LabeledTree.build(topo.nv, [
+                    (u, v, w) for (u, v, _), w in zip(edges, ws)], topo.names)
+                forms.append(canonical_form(t))
+    forms += [canonical_form(random_tree(rng, rng.randint(1, 30), 2))
+              for _ in range(200)]
+    forms += [rooted_canonical_form(random_rooted_tree(rng, rng.randint(2, 5)))
+              for _ in range(100)]
+    assert keys_follow_forms(flat_form, forms)
+    # a closer above the names, and the length-prefixed encoding, fail
+    assert not keys_follow_forms(
+        lambda f: tuple("\x7f" if x == "" else x for x in flat_form(f)), forms)
+    assert not keys_follow_forms(length_prefixed, forms)
+
+
+DEEP_CATERPILLAR = """
+from exact2rel import LabeledTree, parse_newick
+n = 100_000
+m = n - 2  # spine vertices; leaf i hangs from hangs[i]
+hangs = [0] + list(range(m)) + [m - 1]
+edges = [(v - 1, v, 1) for v in range(1, m)]
+edges += [(v, m + i, 1) for i, v in enumerate(hangs)]
+t = LabeledTree.build(m + n, edges, {m + i: f"x{i}" for i in range(n)})
+text = ("(x0:1,x1:1," + "".join(f"(x{i}:1," for i in range(2, n - 2))
+        + f"(x{n - 2}:1,x{n - 1}:1)" + ":1)" * (m - 1) + ";")
+back = parse_newick(text)
+assert len({t, back}) == 1
+"""
+
+
+def test_deep_trees_hash_and_compare():
+    """A caterpillar with 10^5 leaves nests its canonical form 10^5 deep.
+    Putting it in a set with its Newick reading hashes both and compares
+    them with ``==``; a hash that recursed into the nested form would
+    overflow the C stack and kill the interpreter, so this runs in a
+    child process.  The text is written out here, not by
+    ``format_newick``, which takes seconds at this depth."""
+    env = {**os.environ, "PYTHONPATH": str(Path(trees.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", DEEP_CATERPILLAR], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
 def test_trees_with_same_shape_different_names_differ():
     a = parse_newick("(a:1,b:1,c:1);")
     b = parse_newick("(a:1,b:1,d:1);")
@@ -347,5 +428,5 @@ def test_unrooted_and_rooted_readings_never_compare_equal():
     t = LabeledTree.build(4, edges, names)
     rt = RootedLabeledTree.build(4, edges, names, root=0)
     assert t != rt and rt != t
-    assert hash(t) == hash(canonical_form(t))
-    assert hash(rt) == hash(rooted_canonical_form(rt))
+    assert hash(t) == hash(flat_form(canonical_form(t)))
+    assert hash(rt) == hash(flat_form(rooted_canonical_form(rt)))
