@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import dot, oracle
 from .construct import recognize, verify
-from .graphs import (directed_quotient, format_graph, format_oriented,
-                     parse_graph, parse_oriented, quotient)
+from .graphs import (collector_paused, directed_quotient, format_graph,
+                     format_oriented, parse_graph, parse_oriented, quotient)
 from .newick import format_newick, parse_newick, parse_rooted_newick
 from .rooted import (directed_explain, enumerate_rooted,
                      format_rooted_newick, recognize_oriented)
@@ -200,14 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # format errors are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    with collector_paused():
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:  # format errors are ValueErrors
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:
+            print(f"internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Finite simple graphs and oriented graphs with the operations the
 recognition pipeline needs: twin partitions, quotients, connected
-components, block decomposition, induced subgraphs, and a
-line-oriented text format.
+components, block decomposition, induced subgraphs, a line-oriented
+text format, and the pause of the cyclic garbage collector that the
+command line and the oracle's witness listing run under.
 
 Vertices are always the integers ``0 .. n-1``.  Adjacency sets are the
 stored form: a graph keeps each vertex's neighbor set, an oriented graph
@@ -12,8 +13,12 @@ from them on first read and cached.
 
 from __future__ import annotations
 
+import gc
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from operator import eq
+from typing import Iterable, Iterator
 
 
 class GraphFormatError(ValueError):
@@ -142,6 +147,46 @@ class BlockDecomposition:
 # Constructors
 # ======================================================================
 
+def _endpoints(n: int, pairs: Iterable[tuple[int, int]],
+               kind: str) -> tuple[list[int], list[int]]:
+    """The tails and the heads of ``pairs``, checked pair by pair in
+    input order: a pair's range before its loop."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    us, vs = [], []
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{kind} ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        us.append(u)
+        vs.append(v)
+    return us, vs
+
+
+def _add_all(sets: list[set[int]], us: list[int],
+             vs: list[int]) -> list[set[int]]:
+    """Add each ``vs[i]`` to ``sets[us[i]]``, the whole loop in C."""
+    deque(map(set.add, map(sets.__getitem__, us), vs), 0)
+    return sets
+
+
+def _graph(n: int, us: list[int], vs: list[int]) -> Graph:
+    adj = _add_all(_add_all([set() for _ in range(n)], us, vs), vs, us)
+    return Graph(tuple(map(frozenset, adj)))
+
+
+def _oriented(n: int, us: list[int], vs: list[int]) -> OrientedGraph | None:
+    """The oriented graph of the arcs ``us[i] -> vs[i]``, or ``None``
+    when two of them are opposite."""
+    out_adj = _add_all([set() for _ in range(n)], us, vs)
+    in_adj = _add_all([set() for _ in range(n)], vs, us)
+    if not all(map(set.isdisjoint, out_adj, in_adj)):
+        return None
+    return OrientedGraph(tuple(map(frozenset, out_adj)),
+                         tuple(map(frozenset, in_adj)))
+
+
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list.
 
@@ -153,17 +198,7 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     Raises:
         ValueError: on a self-loop or an out-of-range endpoint.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    adj = [set() for _ in range(n)]
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(tuple(map(frozenset, adj)))
+    return _graph(n, *_endpoints(n, pairs, "edge"))
 
 
 def from_arc_list(n: int, pairs: Iterable[tuple[int, int]]) -> OrientedGraph:
@@ -173,26 +208,15 @@ def from_arc_list(n: int, pairs: Iterable[tuple[int, int]]) -> OrientedGraph:
         ValueError: on a self-loop, an out-of-range endpoint, or a pair
             of opposite arcs (2-cycle).
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    pairs = list(pairs)     # read again to name a 2-cycle
-    out_adj = [set() for _ in range(n)]
-    in_adj = [set() for _ in range(n)]
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        out_adj[u].add(v)
-        in_adj[v].add(u)
-    if any(map(set.intersection, out_adj, in_adj)):
+    us, vs = _endpoints(n, pairs, "arc")
+    d = _oriented(n, us, vs)
+    if d is None:
         # the first opposite pair in the arc set's own order
-        arcs = {(u, v) for u, v in pairs}
+        arcs = set(zip(us, vs))
         for u, v in arcs:
             if (v, u) in arcs:
                 raise ValueError(f"2-cycle between {u} and {v}")
-    return OrientedGraph(tuple(map(frozenset, out_adj)),
-                         tuple(map(frozenset, in_adj)))
+    return d
 
 
 # ======================================================================
@@ -224,7 +248,8 @@ def quotient(g: Graph) -> QuotientResult:
     """
     p = false_twin_partition(g)
     new = _class_of(p)
-    adj = tuple(frozenset([new[w] for w in g.adj[c[0]]]) for c in p.classes)
+    adj = tuple(frozenset(map(new.__getitem__, g.adj[c[0]]))
+                for c in p.classes)
     return QuotientResult(Graph(adj), p, new)
 
 
@@ -242,8 +267,8 @@ def directed_quotient(d: OrientedGraph) -> QuotientResult:
     p = directed_twin_partition(d)
     new = _class_of(p)
     reps = p.representatives
-    out_adj = tuple(frozenset([new[w] for w in d.out_adj[r]]) for r in reps)
-    in_adj = tuple(frozenset([new[w] for w in d.in_adj[r]]) for r in reps)
+    out_adj = tuple(frozenset(map(new.__getitem__, d.out_adj[r])) for r in reps)
+    in_adj = tuple(frozenset(map(new.__getitem__, d.in_adj[r])) for r in reps)
     return QuotientResult(OrientedGraph(out_adj, in_adj), p, new)
 
 
@@ -465,12 +490,46 @@ def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
     return n, pairs
 
 
+_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _plain_pairs(text: str) -> tuple[int, list[int], list[int]] | None:
+    """``(n, tails, heads)`` when ``text`` is in the plain layout and
+    every pair is in range and no loop, else ``None``.
+
+    The plain layout is what ``format_graph`` and ``format_oriented``
+    write: a header ``n m``, then ``m`` lines ``u v``, each of ASCII
+    digits split by one space and ended by a newline.  Its shape is
+    checked and its numbers read in bulk; ``_parse_pairs`` reads any
+    other text, with the same results and errors.
+    """
+    head, _, body = text.partition("\n")
+    parts = head.split()
+    if len(parts) != 2 or head.translate(_DIGITS) != " ":
+        return None
+    n, m = map(int, parts)
+    shape = body.translate(_DIGITS)
+    # the length first: a header can announce more lines than memory holds
+    if len(shape) != 2 * m or shape != " \n" * m:
+        return None
+    ends = list(map(int, body.split()))
+    if len(ends) != 2 * m or (ends and max(ends) >= n):
+        return None
+    us, vs = ends[::2], ends[1::2]
+    if any(map(eq, us, vs)):
+        return None
+    return n, us, vs
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the undirected text format.
 
     Raises:
         GraphFormatError: malformed header, edge line, or self-loop.
     """
+    plain = _plain_pairs(text)
+    if plain is not None:
+        return _graph(*plain)
     n, pairs = _parse_pairs(text)
     try:
         return from_edge_list(n, pairs)
@@ -486,6 +545,10 @@ def format_graph(g: Graph) -> str:
 
 def parse_oriented(text: str) -> OrientedGraph:
     """Parse the text format reading each edge line as an arc."""
+    plain = _plain_pairs(text)
+    d = _oriented(*plain) if plain is not None else None
+    if d is not None:
+        return d
     n, pairs = _parse_pairs(text)
     try:
         return from_arc_list(n, pairs)
@@ -497,3 +560,26 @@ def format_oriented(d: OrientedGraph) -> str:
     lines = [f"{d.n} {d.m}"]
     lines += [f"{u} {v}" for u, v in sorted(d.arcs)]
     return "\n".join(lines) + "\n"
+
+
+# ======================================================================
+# Collector pause
+# ======================================================================
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the ``with`` body,
+    then put back the state it found.
+
+    The graphs, sets, trees and texts this package builds hold no
+    reference cycles, so reference counting frees them all; the
+    collector would only walk them again and again while a body builds
+    more.  The only place that pauses or tunes the collector.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -25,9 +25,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
-from .graphs import (Graph, OrientedGraph, directed_quotient, from_arc_list,
-                     from_edge_list, is_block_graph, is_forest, quotient,
-                     underlying_graph)
+from .graphs import (Graph, OrientedGraph, collector_paused, directed_quotient,
+                     from_arc_list, from_edge_list, is_block_graph, is_forest,
+                     quotient, underlying_graph)
 from .trees import LabeledTree, canonical_form, flat_form, subtree_key
 
 LETTERS = "abcdefg"
@@ -401,15 +401,17 @@ def all_witnesses(g: Graph, budget: EnumerationBudget, k: int) -> list[LabeledTr
     W = budget.resolve_weight(k)
     target = graph_to_mask(g)
     found: list[tuple[tuple, LabeledTree]] = []
-    for lt in _labeled(g.n):
-        sh = lt.shape
-        min_w = sh.min_w_canonical if budget.canonical_only else sh.min_w_free
-        for w in matching_weightings(len(sh.paths), sh.paths, min_w, W, k,
-                                     budget.zero_discrete_only, target):
-            # the topology is a valid tree: no re-validating build
-            adj = tuple([{y: w[e] for y, e in nb} for nb in sh.nbrs])
-            found.append((lt.key(w + lt.consts),
-                           LabeledTree(len(adj), adj, dict(lt.names))))
+    with collector_paused():
+        for lt in _labeled(g.n):
+            sh = lt.shape
+            min_w = (sh.min_w_canonical if budget.canonical_only
+                     else sh.min_w_free)
+            for w in matching_weightings(len(sh.paths), sh.paths, min_w, W,
+                                         k, budget.zero_discrete_only, target):
+                # the topology is a valid tree: no re-validating build
+                adj = tuple([{y: w[e] for y, e in nb} for nb in sh.nbrs])
+                found.append((lt.key(w + lt.consts),
+                              LabeledTree(len(adj), adj, dict(lt.names))))
     found.sort(key=itemgetter(0))
     return [t for _, t in found]
 

@@ -1,3 +1,4 @@
+import gc
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -246,3 +247,86 @@ def test_oriented_recognize_decides_once(write, monkeypatch):
         argv = ["recognize", write("d.txt", text), "--oriented"]
         assert _run(argv)[0] == code
         assert calls == {"quotient": 1, "underlying": 1, "recognize": 1}
+
+
+# ----------------------------------------------------------------------
+# the collector pause: no command leaves cyclic garbage behind
+# ----------------------------------------------------------------------
+
+GATE_FILES = {"c4.txt": C4, "c5.txt": C5, "chain.txt": CHAIN,
+              "bad.txt": "3 1\n0 x\n", "t.nwk": "(0:2,1:0,2:2);\n",
+              "r.nwk": "(0:0,(1:0,2:2):2);\n", "w.nwk": "(0:0,(1:0,3:0):2,2:0);\n",
+              "root.nwk": "(b:2)a;\n"}
+
+
+def cyclic_garbage(argv):
+    """How many objects in reference cycles one call of ``main(argv)``
+    leaves, run with the collector paused after a warm-up call (which
+    fills the caches a process keeps)."""
+    _run(argv)
+    gc.collect()
+    with graphs.collector_paused():
+        _run(argv)
+        return gc.collect()
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "c4.txt"],
+    ["recognize", "c5.txt"],
+    ["recognize", "chain.txt", "--oriented"],
+    ["recognize", "bad.txt"],
+    ["recognize", "missing.txt"],
+    ["explain", "t.nwk"],
+    ["explain", "r.nwk", "--rooted", "--dot"],
+    ["canonicalize", "t.nwk"],
+    ["quotient", "c4.txt"],
+    ["verify", "w.nwk", "c4.txt"],
+    ["roots", "root.nwk"],
+    ["oracle", "--n", "4"],
+], ids=" ".join)
+def test_no_command_leaves_cyclic_garbage(argv, tmp_path):
+    for name, text in GATE_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    assert cyclic_garbage(argv) == 0
+
+
+def test_the_garbage_gate_catches_a_cycle(write, monkeypatch):
+    real = cli.recognize
+
+    def leaky(g):
+        loop = []
+        loop.append(loop)
+        return real(g)
+
+    monkeypatch.setattr(cli, "recognize", leaky)
+    assert cyclic_garbage(["recognize", write("c4.txt", C4)]) > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, write, monkeypatch):
+    argvs = [["recognize", write("c4.txt", C4)],
+             ["recognize", write("bad.txt", "3 1\n0 x\n")],
+             ["recognize"]]
+    real = cli.recognize
+    during = []
+
+    def watched(g):
+        during.append(gc.isenabled())
+        return real(g)
+
+    monkeypatch.setattr(cli, "recognize", watched)
+    codes = []
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in argvs:
+            codes.append(_run(argv)[0])
+            assert gc.isenabled() == enabled
+        monkeypatch.setattr(cli, "recognize", None)   # an internal error
+        codes.append(_run(argvs[0])[0])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert codes == [0, 2, ("SystemExit", 2), 3]
+    assert during == [False]

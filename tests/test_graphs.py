@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from exact2rel import (GraphFormatError, block_decomposition,
                        from_arc_list, from_edge_list, induced_subgraph,
                        is_block_graph, is_forest, parse_graph, parse_oriented,
                        quotient, underlying_graph)
+from exact2rel import graphs
 from exact2rel.graphs import non_clique_block
 
 
@@ -424,3 +426,134 @@ def test_parsers_raise_only_format_errors(parts):
             assert str(info.value) == str(exc)
         else:
             same(parse(text), want)
+
+
+# ----------------------------------------------------------------------
+# the bulk reader of the plain layout, at its boundary: one mutation of
+# a plain text each, read like the line-by-line reference
+# ----------------------------------------------------------------------
+
+MUTATIONS = ("none", "split", "drop_end", "no_final_newline", "two_spaces",
+             "tab", "crlf", "blank_line", "leading_zero", "unicode_digit",
+             "endpoint_n", "self_loop", "two_cycle", "duplicate", "count_off")
+
+
+def random_pairs(rng, n):
+    """The arcs of a random oriented graph on ``n`` vertices in random
+    order; read as edges, a random graph."""
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u, v in combinations(range(n), 2) if rng.random() < 0.4]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def plain_text(n, pairs):
+    return f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+def mutate(n, pairs, kind, rng):
+    """The plain text of ``pairs`` with one mutation of ``kind``; the
+    header is one of the lines it may hit."""
+    body = [[str(u), str(v)] for u, v in pairs]
+    m = len(body)
+    j = rng.randrange(m) if body else None        # a body line
+    if kind == "endpoint_n" and body:
+        body[j][rng.randrange(2)] = str(n)
+    elif kind == "self_loop" and body:
+        body[j][1] = body[j][0]
+    elif kind in ("two_cycle", "duplicate") and body:
+        line = body[j][:] if kind == "duplicate" else body[j][::-1]
+        body.insert(rng.randint(0, m), line)
+        m += 1
+    elif kind == "count_off":
+        m += rng.choice((-1, 1))
+    lines = [[str(n), str(m)]] + body
+    i = rng.randrange(len(lines))                 # any line
+    end = "\n"
+    if kind == "split" and len(body) >= 2:        # 1 token and 3 tokens
+        a, b = rng.sample(range(1, len(lines)), 2)
+        lines[b].append(lines[a].pop())
+    elif kind == "drop_end":                      # "u " or " v"
+        lines[i][rng.randrange(2)] = ""
+    elif kind == "no_final_newline":
+        end = ""
+    elif kind == "leading_zero":
+        t = rng.randrange(2)
+        lines[i][t] = "0" + lines[i][t]
+    elif kind == "unicode_digit":                 # ARABIC-INDIC digits
+        t = rng.randrange(2)
+        lines[i][t] = "".join(chr(0x660 + int(c)) for c in lines[i][t])
+    text = [" ".join(line) for line in lines]
+    if kind == "two_spaces":
+        text[i] = text[i].replace(" ", "  ")
+    elif kind == "tab":
+        text[i] = text[i].replace(" ", "\t")
+    elif kind == "crlf":
+        text[i] += "\r"
+    elif kind == "blank_line":
+        text.insert(i + rng.randint(0, 1), rng.choice(("", " ", "#", "# c")))
+    return "\n".join(text) + end
+
+
+def reading(parse, text):
+    """What ``parse`` makes of ``text``: the graph, or the error."""
+    try:
+        g = parse(text)
+    except Exception as exc:  # the type and the text of any error
+        return type(exc).__name__, str(exc)
+    if hasattr(g, "arcs"):
+        return g.n, g.m, g.out_adj, g.in_adj, g.arcs
+    return g.n, g.m, g.adj, g.edges
+
+
+def bulk_disagreements(texts):
+    """The texts that a parser reads otherwise than the reference."""
+    return [text for text in texts
+            for parse, reference in (
+                (parse_graph, reference_parse_graph),
+                (parse_oriented, reference_parse_oriented))
+            if reading(parse, text) != reading(reference, text)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 7), st.sampled_from(MUTATIONS),
+       st.integers(0, 2**32 - 1).map(random.Random))
+def test_bulk_reader_matches_the_reference_at_its_boundary(n, kind, rng):
+    pairs = random_pairs(rng, n)
+    assert graphs._plain_pairs(plain_text(n, pairs)) is not None
+    assert bulk_disagreements([mutate(n, pairs, kind, rng)]) == []
+
+
+PLAIN_PAIRS = inspect.getsource(graphs._plain_pairs)
+
+
+def plain_pairs_with(old, new):
+    """``_plain_pairs`` with one line of its source replaced."""
+    assert PLAIN_PAIRS.count(old) == 1
+    namespace = dict(vars(graphs))
+    exec(PLAIN_PAIRS.replace(old, new), namespace)
+    return namespace["_plain_pairs"]
+
+
+def test_the_boundary_gate_catches_loose_shape_checks(monkeypatch):
+    rng = random.Random(21)
+    texts = []
+    for kind in MUTATIONS:
+        for _ in range(40):
+            n = rng.randint(0, 7)
+            texts.append(mutate(n, random_pairs(rng, n), kind, rng))
+    assert bulk_disagreements(texts) == []
+    for old, new in (
+            # a check that counts lines and tokens, not their shape
+            ('if len(shape) != 2 * m or shape != " \\n" * m:',
+             'if shape.count("\\n") != m:'),
+            # unpacks a "0 " header
+            ("if len(parts) != 2 or head", "if head")):
+        monkeypatch.setattr(graphs, "_plain_pairs", plain_pairs_with(old, new))
+        assert bulk_disagreements(texts)
+
+
+def test_a_huge_edge_count_is_refused_at_once():
+    for parse in (parse_graph, parse_oriented):
+        with pytest.raises(GraphFormatError, match="announces 10000000000000 "):
+            parse("2 10000000000000\n0 1\n")

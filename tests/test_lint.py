@@ -75,3 +75,70 @@ class TwinPartition:
              "assert p.representatives\n")
     assert uncalled(tests, methods) == [(1, "is_discrete"),
                                         (2, "is_discrete")]
+
+
+# ----------------------------------------------------------------------
+# one pause of the cyclic collector
+# ----------------------------------------------------------------------
+
+PAUSES = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def collector_calls(source):
+    """(line, enclosing function) of each use of ``gc.disable``,
+    ``gc.enable``, ``gc.freeze`` or ``gc.set_threshold`` in ``source``,
+    under any name the module is imported as, and of each import of
+    them from ``gc``."""
+    tree = ast.parse(source)
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for a in node.names
+             if a.name == "gc"}
+    hits = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in PAUSES
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in names):
+                hits.append((child.lineno, function))
+            if (isinstance(child, ast.ImportFrom) and child.module == "gc"
+                    and any(a.name in PAUSES | {"*"} for a in child.names)):
+                hits.append((child.lineno, function))
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            visit(child, inner)
+
+    visit(tree, None)
+    return hits
+
+
+def test_only_the_one_helper_pauses_the_collector():
+    found = {p.name: collector_calls(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    helper = [function for _, function in found.pop("graphs.py")]
+    assert helper == ["collector_paused"] * 2
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_second_pause():
+    source = '''
+import gc
+import gc as collector
+from gc import freeze
+
+
+def collector_paused():
+    gc.disable()
+    gc.enable()
+
+
+def fast_path():
+    gc.disable()
+    collector.set_threshold(0)
+    gc.collect()
+'''
+    assert collector_calls(source) == [(4, None),
+                                       (8, "collector_paused"),
+                                       (9, "collector_paused"),
+                                       (13, "fast_path"),
+                                       (14, "fast_path")]

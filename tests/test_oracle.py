@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import permutations
 
@@ -12,6 +13,8 @@ from exact2rel import (EnumerationBudget, all_witnesses,
                        format_report, from_arc_list, from_edge_list,
                        induced_subgraph, is_canonical, recognize,
                        rooted_explainable_set, verify)
+from exact2rel import oracle
+from exact2rel.graphs import collector_paused
 from exact2rel.oracle import (_labeled, _prepare, _shapes,
                               _topologies, all_graph_classes,
                               all_oriented_classes, canonical_mask_of,
@@ -230,6 +233,28 @@ def test_witnesses_match_recognition():
             assert is_canonical(t)
             assert verify(t, g, 2).ok
         assert len({format_newick(t) for t in ws}) == len(ws)
+
+
+def test_witnesses_are_listed_with_the_collector_paused(monkeypatch):
+    """The listing runs with the collector paused and leaves no cyclic
+    garbage: reference counting alone frees what it drops."""
+    g, b = from_edge_list(4, []), EnumerationBudget(4)
+    all_witnesses(g, b, 2)      # warm-up: fills the topology caches
+    gc.collect()
+    with collector_paused():
+        assert len(all_witnesses(g, b, 2)) > 1000
+        assert gc.collect() == 0
+    real = oracle.matching_weightings
+    during = []
+
+    def watched(*args):
+        during.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "matching_weightings", watched)
+    enabled = gc.isenabled()
+    all_witnesses(g, b, 2)
+    assert during and not any(during) and gc.isenabled() == enabled
 
 
 def same_trees(xs, ys):
