@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .trees import LabeledTree, RootedLabeledTree, fold_subtrees
+from .trees import LabeledTree, RootedLabeledTree, sibling_order
 
 
 class TreeFormatError(ValueError):
@@ -160,24 +160,45 @@ def parse_rooted_newick(text: str) -> RootedLabeledTree:
 # Writing
 # ======================================================================
 
+def _check_names(names: Mapping[int, str]) -> None:
+    """Refuse a leaf name that the reader would not read back."""
+    bad = sorted(s for s in names.values() if not _NAME_CHARS.issuperset(s))
+    if bad:
+        raise ValueError(f"leaf name {bad[0]!r} has a character the reader rejects")
+
+
 def subtree_text(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
                  top: int) -> str:
-    """Text of the tree hung from ``top``, children sorted by smallest
-    leaf name (then weight and text); no trailing ';'."""
-    return fold_subtrees(
-        adj, names, top, str,
-        lambda entries: "(" + ",".join(f"{text}:{w}"
-                                       for _, w, text in entries) + ")")
+    """Text of the tree hung from the unnamed ``top``, children in
+    ``sibling_order``; no trailing ';'.  One explicit-stack walk writes
+    tokens into one list, joined once, so any depth takes linear time."""
+    _check_names(names)
+    kids = sibling_order(adj, names, top)
+    out: list[str] = []
+    stack: list = [top]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        items: list = ["("]
+        for s, c in kids[x]:
+            w = adj[x][c]
+            items += (f"{s}:{w}", ",") if c in names else (c, f":{w}", ",")
+        items[-1] = ")"  # the last ',' closes the list
+        stack += reversed(items)
+    return "".join(out)
 
 
 def format_newick(t: LabeledTree) -> str:
     """Serialize with the unrooted reading; deterministic output
-    (anchor adjacent to the smallest-named leaf, children sorted)."""
+    (anchor adjacent to the smallest-named leaf, children sorted).
+    Raises ValueError on a leaf name that the reader rejects."""
+    if t.nv > 2:
+        (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
+        return f"{subtree_text(t.adj, t.names, anchor)};"
+    _check_names(t.names)
     if t.n_leaves == 1:
         return f"{t.leaf_names[0]};"
-    if t.nv == 2:
-        a, b = t.leaf_names
-        w = t.adj[t.vertex_of(a)][t.vertex_of(b)]
-        return f"({b}:{w}){a};"
-    (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
-    return f"{subtree_text(t.adj, t.names, anchor)};"
+    a, b = t.leaf_names
+    return f"({b}:{t.adj[0][1]}){a};"

@@ -28,7 +28,7 @@ from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
 from .graphs import (Graph, OrientedGraph, collector_paused, directed_quotient,
                      from_arc_list, from_edge_list, is_block_graph, is_forest,
                      quotient, underlying_graph)
-from .trees import LabeledTree, canonical_form, flat_form, subtree_key
+from .trees import LabeledTree, canonical_form
 
 LETTERS = "abcdefg"
 
@@ -88,35 +88,35 @@ def _topologies(n: int) -> tuple[LabeledTree, ...]:
     seen: dict[tuple, LabeledTree] = {}
     new_name = LETTERS[n - 1]
     for t in _topologies(n - 1):
-        base = t.weighted_edges()
-        for u, v, _ in base:
-            mid, leaf = t.nv, t.nv + 1
-            edges = [e for e in base if set(e[:2]) != {u, v}]
-            edges += [(u, mid, 0), (mid, v, 0), (mid, leaf, 0)]
-            names = dict(t.names)
-            names[leaf] = new_name
-            cand = LabeledTree.build(t.nv + 2, edges, names)
-            seen.setdefault(flat_form(canonical_form(cand)), cand)
-        for v in t.interior_vertices():
-            leaf = t.nv
-            edges = base + [(v, leaf, 0)]
-            names = dict(t.names)
-            names[leaf] = new_name
-            cand = LabeledTree.build(t.nv + 1, edges, names)
-            seen.setdefault(flat_form(canonical_form(cand)), cand)
+        base, mid = t.weighted_edges(), t.nv
+        # the new leaf on a new vertex inside each edge, then at each
+        # interior vertex: (edges, the new leaf's id)
+        grown = [([e for e in base if set(e[:2]) != {u, v}]
+                  + [(u, mid, 0), (mid, v, 0), (mid, mid + 1, 0)], mid + 1)
+                 for u, v, _ in base]
+        grown += [(base + [(v, mid, 0)], mid) for v in t.interior_vertices()]
+        for edges, leaf in grown:
+            cand = LabeledTree.build(leaf + 1, edges, {**t.names, leaf: new_name})
+            seen.setdefault(canonical_form(cand), cand)
     return tuple(seen[key] for key in sorted(seen))
 
 
 @cache
 def unlabeled_shapes(n: int) -> tuple[LabeledTree, ...]:
     """The first topology of each unlabeled shape with ``n`` leaves, keyed
-    by its smallest form hung from an interior vertex, names blanked."""
+    by its smallest ``_shape_form`` hung from an interior vertex."""
     seen: dict[tuple, LabeledTree] = {}
     for t in enumerate_topologies(n):
-        blank = dict.fromkeys(t.names, "")
-        seen.setdefault(min((subtree_key(t.adj, blank, v)
+        seen.setdefault(min((_shape_form(t.adj, v)
                              for v in t.interior_vertices()), default=()), t)
     return tuple(seen.values())
+
+
+def _shape_form(adj: tuple[dict[int, int], ...], v: int, up: int = -1) -> tuple:
+    """The tree hung from ``v``, away from ``up``, without names or
+    weights: the sorted tuple of its children's forms, so a leaf is
+    ``()``.  Shapes have at most 7 leaves, so the recursion is shallow."""
+    return tuple(sorted(_shape_form(adj, c, v) for c in adj[v] if c != up))
 
 
 # ======================================================================
@@ -204,10 +204,10 @@ def _labeled(n: int) -> tuple[_Labeled, ...]:
 
     Siblings in ``canonical_form`` are sorted by their smallest leaf
     names, which are distinct, so all weightings of one topology share
-    one nesting with a slot per edge weight: the form of the topology
-    with weight ``-1 - e`` on edge ``e``.  Its ``flat_form`` is taken
-    once; an int token is the slot of a weight, every other token a
-    constant, so a witness's key is the flat key of its form."""
+    one token sequence with a slot per edge weight: the key of the
+    topology with weight ``-1 - e`` on edge ``e``, taken once.  An int
+    token is the slot of a weight, every other token a constant, so a
+    witness's key is its ``canonical_form``."""
     out = []
     for t in _topologies(n):
         sh = _prepare(t)
@@ -215,8 +215,7 @@ def _labeled(n: int) -> tuple[_Labeled, ...]:
         slots = tuple({y: -1 - e for y, e in nb} for nb in sh.nbrs)
         consts: list[str] = []
         index: list[int] = []
-        form = canonical_form(LabeledTree(t.nv, slots, dict(names)))
-        for x in flat_form(form):
+        for x in canonical_form(LabeledTree(t.nv, slots, dict(names))):
             if isinstance(x, int):
                 index.append(-1 - x)
             else:

@@ -24,7 +24,8 @@ from .trees import (LabeledTree, RootedLabeledTree, _Draft,
 
 
 def format_rooted_newick(t: RootedLabeledTree) -> str:
-    """Serialize; the written top-level node is the root."""
+    """Serialize; the written top-level node is the root.  Raises
+    ValueError on a leaf name that the reader rejects."""
     return f"{subtree_text(t.adj, t.names, t.root)};"
 
 

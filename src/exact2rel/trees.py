@@ -19,16 +19,14 @@ any leaf-to-leaf path weight relation it realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .graphs import Graph, from_edge_list
-
-T = TypeVar("T")
 
 
 class _Tree:
     """What both tree types share: the storage, the queries, and
-    equality and hashing by one key, ``flat_form`` of its canonical form."""
+    equality and hashing by one key, its canonical form."""
 
     __slots__ = ("nv", "adj", "names", "_name_to_vertex")
 
@@ -99,7 +97,7 @@ class LabeledTree(_Tree):
         return sum(w for _, _, w in self.weighted_edges())
 
     def _key(self) -> tuple:
-        return flat_form(canonical_form(self))
+        return canonical_form(self)
 
 
 class RootedLabeledTree(_Tree):
@@ -107,20 +105,11 @@ class RootedLabeledTree(_Tree):
 
     Leaves are the non-root vertices of degree <= 1; each carries a
     unique name.  The root is unnamed and may have any degree >= 1.
-    ``parent`` holds each vertex's parent, ``None`` at the root.
+    ``parent`` holds each vertex's parent, ``None`` at the root; both
+    are set by ``build`` after the shared initializer.
     """
 
     __slots__ = ("root", "parent")
-
-    def __init__(self, nv: int, adj: tuple[dict[int, int], ...],
-                 names: dict[int, str], root: int,
-                 parent: tuple[int | None, ...]):
-        self.nv = nv
-        self.adj = adj
-        self.names = names
-        self._name_to_vertex = {s: v for v, s in names.items()}
-        self.root = root
-        self.parent = parent
 
     @classmethod
     def build(cls, nv: int, edges: Iterable[tuple[int, int, int]],
@@ -130,10 +119,12 @@ class RootedLabeledTree(_Tree):
         adj, named, parent = _validate(nv, edges, names, root)
         if nv == 1:
             raise ValueError("a rooted tree needs at least one leaf under the root")
-        return cls(nv, adj, named, root, parent)
+        t = cls(nv, adj, named)
+        t.root, t.parent = root, parent
+        return t
 
     def _key(self) -> tuple:
-        return flat_form(rooted_canonical_form(self))
+        return rooted_canonical_form(self)
 
 
 def _validate(nv: int, edges: Iterable[tuple[int, int, int]],
@@ -238,36 +229,19 @@ def tree_layout(adj: tuple[dict[int, int], ...],
     return order, parent, depth
 
 
-def fold_subtrees(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
-                  top: int, leaf: Callable[[str], T],
-                  join: Callable[[list[tuple[str, int, T]]], T]) -> T:
-    """Build a form of every subtree of the tree hung from ``top``,
-    children before parents, in one pass over the reversed pre-order of
-    ``tree_layout``, so any depth works.  A named vertex's form is
-    ``leaf(name)``; any other vertex's form is ``join(entries)``, where
-    ``entries`` holds ``(smallest leaf name, edge weight, child form)``
-    for each child, sorted.  Returns the form of ``top``."""
+def sibling_order(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
+                  top: int) -> dict[int, list[tuple[str, int]]]:
+    """Each unnamed vertex's children in the tree hung from ``top``, as
+    sorted ``(smallest leaf name below, child)`` pairs, from one pass over
+    the reversed pre-order of ``tree_layout``, so any depth works."""
     order, parent, _ = tree_layout(adj, top)
-    smallest: dict[int, str] = {}
-    form: dict[int, T] = {}
+    smallest = dict(names)
+    kids: dict[int, list[tuple[str, int]]] = {}
     for v in reversed(order):
-        if v in names:
-            smallest[v] = names[v]
-            form[v] = leaf(names[v])
-            continue
-        entries = sorted((smallest.pop(c), w, form.pop(c))
-                         for c, w in adj[v].items() if c != parent[v])
-        smallest[v] = entries[0][0]
-        form[v] = join(entries)
-    return form[top]
-
-
-def subtree_key(adj: tuple[dict[int, int], ...], names: Mapping[int, str],
-                top: int) -> tuple:
-    """The hashable form of the tree hung from ``top``: ``("L", name)``
-    for a leaf, ``("I", entries)`` for any other vertex."""
-    return fold_subtrees(adj, names, top, lambda s: ("L", s),
-                         lambda entries: ("I", tuple(entries)))
+        if v not in names:
+            kids[v] = sorted((smallest[c], c) for c in adj[v] if c != parent[v])
+            smallest[v] = kids[v][0][0]
+    return kids
 
 
 def relation_pairs(t, root: int, k: int,
@@ -562,39 +536,42 @@ def is_zero_discrete(t: LabeledTree | RootedLabeledTree) -> bool:
 # ======================================================================
 
 def canonical_form(t: LabeledTree) -> tuple:
-    """A hashable form equal across trees that differ only in internal
-    vertex numbering.  Two trees are considered the same when they have
-    the same named leaves, shape, and weights."""
+    """The key of ``t``, equal exactly for trees with the same named
+    leaves, shape and weights: hung from the smallest leaf's neighbour,
+    the form ``("T", ("I", ((smallest leaf, weight, child), ...)))``, with
+    siblings in ``sibling_order`` and leaves ``("L", name)``, written
+    top-down as each tuple's items and a closing ``""``.  Names are not
+    empty, so ``""`` sorts first, as the end of a shorter tuple does:
+    keys sort as the nested forms do."""
     if t.n_leaves == 1:
-        return ("V", t.leaf_names[0])
+        return ("V", t.leaf_names[0], "")
     if t.nv == 2:
-        a, b = sorted(t.names.values())
-        (w,) = [w for _, _, w in t.weighted_edges()]
-        return ("E", a, b, w)
-    # with nv > 2 the smallest leaf's one neighbour is interior
-    (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
-    return ("T", subtree_key(t.adj, t.names, anchor))
+        a, b = t.leaf_names
+        return ("E", a, b, t.adj[0][1], "")
+    (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]  # an interior vertex
+    return _flat_key("T", t, anchor)
 
 
 def rooted_canonical_form(t: RootedLabeledTree) -> tuple:
-    """Hashable form; equal exactly for trees with the same root
-    position, shape, weights, and leaf names."""
-    return ("R", subtree_key(t.adj, t.names, t.root))
+    """``canonical_form`` with the head ``"R"``, hung from the root."""
+    return _flat_key("R", t, t.root)
 
 
-def flat_form(form: tuple) -> tuple:
-    """The one flat key of a canonical form, built without recursion:
-    each nested tuple as its items and a closing ``""``.  Leaf names are
-    non-empty, so where two keys first differ a ``""`` meets only a name
-    or a ``""``, as a shorter tuple meets a longer one: keys are equal
-    exactly for equal forms and sort as the nested forms do."""
-    out: list = []
-    stack = [form]
+def _flat_key(head: str, t: _Tree, top: int) -> tuple:
+    adj, names = t.adj, t.names
+    kids = sibling_order(adj, names, top)
+    out = [head]
+    stack: list = [top]
     while stack:
         x = stack.pop()
         if isinstance(x, tuple):
-            stack.append("")
-            stack += reversed(x)
-        else:
-            out.append(x)
+            out += x
+            continue
+        out.append("I")
+        stack.append(("", ""))
+        for s, c in reversed(kids[x]):
+            w = adj[x][c]
+            stack += ([(s, w, "L", s, "", "")] if c in names
+                      else [("",), c, (s, w)])
+    out.append("")
     return tuple(out)

@@ -6,6 +6,7 @@ package against code with no shared logic.
 
 import math
 from itertools import combinations
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from exact2rel import (GraphFormatError, LabeledTree, RootedLabeledTree,
@@ -20,7 +21,7 @@ from exact2rel._kernel import (enumerate_relation_masks,
 from exact2rel.newick import _Parser
 from exact2rel.oracle import (LETTERS, _arc_maps, _orbit_minima, _pair_maps,
                               _prepare, graph_to_mask)
-from exact2rel.trees import _compact, canonical_form
+from exact2rel.trees import _compact
 
 
 def all_labeled_graphs(n):
@@ -512,7 +513,7 @@ def _tree_with_weights(t, shape, weights, rename=None):
 def reference_all_witnesses(g, budget, k):
     """``all_witnesses`` as it was before the shapes were cached: one
     ``_prepare`` per topology per call, one validated tree and one
-    ``canonical_form`` per weighting, sorted by that form."""
+    ``reference_canonical_form`` per weighting, sorted by that form."""
     budget.validate(k)
     if g.n == 0 or g.n > budget.max_leaves:
         return []
@@ -528,7 +529,7 @@ def reference_all_witnesses(g, budget, k):
                                         W, k, budget.zero_discrete_only,
                                         target):
             t = _tree_with_weights(topo, shape, wvec, rename)
-            found.setdefault(canonical_form(t), t)
+            found.setdefault(reference_canonical_form(t), t)
     return [found[key] for key in sorted(found)]
 
 
@@ -780,6 +781,33 @@ def reference_rooted_canonical_form(t):
 
 def reference_format_rooted_newick(t):
     return _subtree_text(t, t.root, None)[1] + ";"
+
+
+def flat_form(form):
+    """A nested form as a flat key, without recursion: each tuple as its
+    items and a closing ``""``, as ``canonical_form`` writes its key."""
+    out = []
+    stack = [form]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.append("")
+            stack += reversed(x)
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def reference_unlabeled_shapes(n):
+    """``unlabeled_shapes`` keyed as it was: the first topology of each
+    smallest recursive form hung from an interior vertex, with every
+    leaf name blanked."""
+    seen = {}
+    for t in enumerate_topologies(n):
+        blank = SimpleNamespace(adj=t.adj, names=dict.fromkeys(t.names, ""))
+        seen.setdefault(min((_serialize(blank, v, None)
+                             for v in t.interior_vertices()), default=()), t)
+    return list(seen.values())
 
 
 class _RecursiveParser(_Parser):

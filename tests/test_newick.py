@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (random_canonical_tree, random_rooted_tree, random_tree,
+from conftest import (flat_form, random_canonical_tree, random_rooted_tree,
+                      random_tree,
                       reference_canonical_form, reference_format_newick,
                       reference_format_rooted_newick,
                       reference_parse_newick, reference_parse_rooted_newick,
@@ -194,12 +196,13 @@ def test_reader_raises_only_format_errors(text):
 
 def assert_writes_like_reference(t):
     assert format_newick(t) == reference_format_newick(t)
-    assert canonical_form(t) == reference_canonical_form(t)
+    assert canonical_form(t) == flat_form(reference_canonical_form(t))
 
 
 def assert_rooted_writes_like_reference(rt):
     assert format_rooted_newick(rt) == reference_format_rooted_newick(rt)
-    assert rooted_canonical_form(rt) == reference_rooted_canonical_form(rt)
+    assert (rooted_canonical_form(rt)
+            == flat_form(reference_rooted_canonical_form(rt)))
 
 
 def test_writers_match_recursive_reference_on_small_shapes():
@@ -228,6 +231,32 @@ def test_writers_match_recursive_reference_on_random_trees(nv, rng):
     for root in t.interior_vertices()[:3]:
         rt = RootedLabeledTree.build(nv, t.weighted_edges(), t.names, root)
         assert_rooted_writes_like_reference(rt)
+
+
+def test_unrooted_writer_refuses_names_the_reader_rejects():
+    star = [(0, 1, 1), (0, 2, 2), (0, 3, 3)]
+    bad_trees = [LabeledTree.build(3, [(0, 1, 1), (0, 2, 1)],
+                                   {1: "a b", 2: "c"})]
+    bad_trees += [LabeledTree.build(4, star, {1: "a", 2: "b", 3: bad})
+                  for bad in ("c:3", "c)", "c;", "c,d", "c(", "c\n")]
+    bad_trees += [LabeledTree.build(1, [], {0: "a;"}),
+                  LabeledTree.build(2, [(0, 1, 2)], {0: "a", 1: "b b"})]
+    for t in bad_trees:
+        (bad,) = [s for s in t.leaf_names if s not in ("a", "b", "c")]
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            format_newick(t)
+    # every character the reader takes in a name is written as it is
+    t = LabeledTree.build(4, star, {1: "aZ9", 2: "_.-", 3: "x"})
+    assert parse_newick(format_newick(t)) == t
+
+
+def test_rooted_writer_refuses_names_the_reader_rejects():
+    edges = [(0, 1, 1), (0, 2, 1)]
+    rt = RootedLabeledTree.build(3, edges, {1: "a", 2: "b:1"}, root=0)
+    with pytest.raises(ValueError, match="'b:1'"):
+        format_rooted_newick(rt)
+    rt = RootedLabeledTree.build(3, edges, {1: "a", 2: "_.-Z9"}, root=0)
+    assert parse_rooted_newick(format_rooted_newick(rt)) == rt
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (all_labeled_graphs, count_topologies_reference,
                       random_graph, reference_all_witnesses,
-                      reference_explainable_masks)
+                      reference_explainable_masks, reference_unlabeled_shapes)
 from exact2rel import (EnumerationBudget, all_witnesses,
                        check_characterization, enumerate_topologies,
                        explainable_set, format_newick,
@@ -46,7 +46,15 @@ def test_topology_shapes_are_well_formed():
 
 def test_unlabeled_shape_counts():
     # series-reduced trees by leaf count (Harary and Prins, 1959)
-    assert [len(unlabeled_shapes(n)) for n in range(1, 7)] == [1, 1, 1, 2, 3, 7]
+    assert ([len(unlabeled_shapes(n)) for n in range(1, 8)]
+            == [1, 1, 1, 2, 3, 7, 13])
+
+
+def test_unlabeled_shapes_match_the_blank_name_reference():
+    """The same representatives, in the same order, as the smallest
+    recursive form with every leaf name blanked."""
+    for n in range(1, 8):
+        assert list(unlabeled_shapes(n)) == reference_unlabeled_shapes(n)
 
 
 def test_unlabeled_shapes_are_distinct_and_complete():

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (random_canonical_tree, random_rooted_tree, random_tree,
+from conftest import (flat_form, random_canonical_tree, random_rooted_tree,
+                      random_tree, reference_canonical_form,
                       reference_canonicalize, reference_restrict,
+                      reference_rooted_canonical_form,
                       reference_underlying_tree)
 from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize,
                        enumerate_rooted, enumerate_topologies, explain,
@@ -18,7 +20,7 @@ from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize,
                        leaf_distance_matrix, newick, parse_newick, restrict,
                        rooted, scale, trees, underlying_tree)
 from exact2rel.oracle import unlabeled_shapes
-from exact2rel.trees import (canonical_form, flat_form, rooted_canonical_form,
+from exact2rel.trees import (canonical_form, rooted_canonical_form,
                              tree_layout)
 
 
@@ -231,19 +233,22 @@ def keys_follow_forms(encode, forms):
 
 def test_flat_keys_are_equal_and_sorted_as_the_forms():
     rng = random.Random(20)
-    forms = []
+    trees_ = []
     for n in range(1, 6):
         for topo in enumerate_topologies(n):
             edges = topo.weighted_edges()
             for ws in [[0] * len(edges)] + [
                     [rng.randint(0, 2) for _ in edges] for _ in range(3)]:
-                t = LabeledTree.build(topo.nv, [
-                    (u, v, w) for (u, v, _), w in zip(edges, ws)], topo.names)
-                forms.append(canonical_form(t))
-    forms += [canonical_form(random_tree(rng, rng.randint(1, 30), 2))
-              for _ in range(200)]
-    forms += [rooted_canonical_form(random_rooted_tree(rng, rng.randint(2, 5)))
-              for _ in range(100)]
+                trees_.append(LabeledTree.build(topo.nv, [
+                    (u, v, w) for (u, v, _), w in zip(edges, ws)], topo.names))
+    trees_ += [random_tree(rng, rng.randint(1, 30), 2) for _ in range(200)]
+    rooted_ = [random_rooted_tree(rng, rng.randint(2, 5)) for _ in range(100)]
+    forms = ([reference_canonical_form(t) for t in trees_]
+             + [reference_rooted_canonical_form(rt) for rt in rooted_])
+    # the package writes the flat key of the recursive reference's form
+    assert ([canonical_form(t) for t in trees_]
+            + [rooted_canonical_form(rt) for rt in rooted_]
+            == [flat_form(f) for f in forms])
     assert keys_follow_forms(flat_form, forms)
     # a closer above the names, and the length-prefixed encoding, fail
     assert not keys_follow_forms(
@@ -252,7 +257,8 @@ def test_flat_keys_are_equal_and_sorted_as_the_forms():
 
 
 DEEP_CATERPILLAR = """
-from exact2rel import LabeledTree, parse_newick
+import time
+from exact2rel import LabeledTree, format_newick, parse_newick
 n = 100_000
 m = n - 2  # spine vertices; leaf i hangs from hangs[i]
 hangs = [0] + list(range(m)) + [m - 1]
@@ -263,6 +269,11 @@ text = ("(x0:1,x1:1," + "".join(f"(x{i}:1," for i in range(2, n - 2))
         + f"(x{n - 2}:1,x{n - 1}:1)" + ":1)" * (m - 1) + ";")
 back = parse_newick(text)
 assert len({t, back}) == 1
+start = time.perf_counter()
+written = format_newick(t)
+assert time.perf_counter() - start < 3, "format_newick is not linear"
+again = parse_newick(written)
+assert again == t and format_newick(again) == written
 """
 
 
@@ -271,8 +282,9 @@ def test_deep_trees_hash_and_compare():
     Putting it in a set with its Newick reading hashes both and compares
     them with ``==``; a hash that recursed into the nested form would
     overflow the C stack and kill the interpreter, so this runs in a
-    child process.  The text is written out here, not by
-    ``format_newick``, which takes seconds at this depth."""
+    child process.  ``format_newick`` then writes it in under 3 s (a
+    writer that rebuilds each subtree's text takes about 12 s here), and
+    its text reads back to the tree and writes back unchanged."""
     env = {**os.environ, "PYTHONPATH": str(Path(trees.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", DEEP_CATERPILLAR], env=env,
                          capture_output=True, text=True, timeout=300)
@@ -428,5 +440,5 @@ def test_unrooted_and_rooted_readings_never_compare_equal():
     t = LabeledTree.build(4, edges, names)
     rt = RootedLabeledTree.build(4, edges, names, root=0)
     assert t != rt and rt != t
-    assert hash(t) == hash(flat_form(canonical_form(t)))
-    assert hash(rt) == hash(flat_form(rooted_canonical_form(rt)))
+    assert hash(t) == hash(canonical_form(t))
+    assert hash(rt) == hash(rooted_canonical_form(rt))
