@@ -93,54 +93,74 @@ def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
     return {state[0] for state in states}
 
 
+@cache
+def _bounds(paths: tuple[tuple[int, ...], ...],
+            min_w: tuple[int, ...]) -> tuple:
+    """``_plan``'s order; per position, the pairs through its edge and their
+    (pair, bit, least weight still to come, complete?).  None of it reads
+    the target: built once per shape and lower bounds."""
+    order, steps = _plan(paths, len(min_w))
+    low = [sum(min_w[e] for e in path) for path in paths]
+    checks = []
+    for e, step in zip(order, steps):
+        for p, _ in step:
+            low[p] -= min_w[e]
+        checks.append(tuple((p, 1 << p, low[p], c) for p, c in step))
+    return order, tuple(tuple(p for p, _ in s) for s in steps), tuple(checks)
+
+
 def matching_weightings(n_pairs: int, paths: list[list[int]],
                         min_w: list[int], max_w: int, k: int,
                         zero_discrete: bool, target: int) -> list[tuple[int, ...]]:
     """Weight vectors whose relation mask equals ``target``, edge 0
     varying fastest.
 
-    A depth-first search over the edges in ``_plan`` order.  No pair that
-    ``target`` relates may exceed ``k`` even with the smallest weights
-    still to come; a completed path must match its bit of ``target`` and,
-    under ``zero_discrete``, weigh more than 0.
+    A depth-first search over the edges in ``_plan`` order on one weight
+    array and one array of partial path weights, undone on the way back.
+    No pair that ``target`` relates may exceed ``k`` even with the
+    smallest weights still to come; a completed path must match its bit
+    of ``target`` and, under ``zero_discrete``, weigh more than 0.
     """
     if target >> n_pairs:
         return []
     if not min_w:
         return [()]
-    order, steps = _plan(tuple(map(tuple, paths)), len(min_w))
-    low = [sum(min_w[e] for e in path) for path in paths]
-    checks = []  # per position: (pair, related?, smallest rest, complete?)
-    for e, step in zip(order, steps):
-        for p, _ in step:
-            low[p] -= min_w[e]
-        checks.append([(p, target >> p & 1, low[p], closes)
-                       for p, closes in step])
+    order, through, checks = _bounds(tuple(map(tuple, paths)), tuple(min_w))
+    last = len(order) - 1
+    w = list(min_w)
+    d = [0] * n_pairs  # per pair: weight of its path's edges placed so far
+    left: list = [None] * len(order)  # per position: weights still to try
     found: list[tuple[int, ...]] = []
-    stack = [(0, [0] * n_pairs, list(min_w))]
-    while stack:
-        i, d, w = stack.pop()
+    i = 0
+    while i >= 0:
         e = order[i]
-        lo, hi, avoid = min_w[e], max_w, []
-        for p, related, rest, closes in checks[i]:
-            if related:
-                if hi > k - d[p] - rest:
-                    hi = k - d[p] - rest
-                if closes and lo < k - d[p]:
-                    lo = k - d[p]
-            elif closes:
-                avoid += [k - d[p], -d[p]] if zero_discrete else [k - d[p]]
-        for x in range(lo, hi + 1):
-            if x in avoid:
-                continue
-            w[e] = x
-            if i + 1 == len(order):
-                found.append(tuple(w))
-                continue
-            nd = d[:]
-            for p, *_ in checks[i]:
-                nd[p] += x
-            stack.append((i + 1, nd, w[:]))
+        if left[i] is None:  # first visit: this edge's admissible weights
+            lo, hi, avoid = min_w[e], max_w, []
+            for p, bit, rest, closes in checks[i]:
+                r = k - d[p]  # what pair p still needs to weigh k
+                if target & bit:
+                    if hi > r - rest:
+                        hi = r - rest
+                    if closes and lo < r:
+                        lo = r
+                elif closes:
+                    avoid += [r, r - k] if zero_discrete else [r]
+            left[i] = iter([x for x in range(lo, hi + 1) if x not in avoid])
+            if i == last:  # emit them all; the walk goes back from here
+                for w[e] in left[i]:
+                    found.append(tuple(w))
+        else:  # back from position i + 1: undo this edge's weight
+            for p in through[i]:
+                d[p] -= w[e]
+        x = next(left[i], None)
+        if x is None:
+            left[i] = None
+            i -= 1
+            continue
+        w[e] = x
+        for p in through[i]:
+            d[p] += x
+        i += 1
     found.sort(key=lambda w: w[::-1])
     return found
 
@@ -159,21 +179,26 @@ def enumerate_rooted_arc_masks(
     side, near)``: ``side[x]`` is 1 for leaves on the u side, ``near[x]``
     lists the edges from x to its near endpoint.
 
-    A dynamic program over subtrees: a state is an arc mask plus each
-    leaf's depth below the top, capped at ``k + 1`` (-1 if outside).  Where
-    subtrees meet, x -> y is set iff x is at depth 0 and y at ``k``; under
-    ``zero_discrete`` two leaves at depth 0 drop the state.  The states
-    below an edge, weight included, are built once per call, keyed by the
-    edge and the leaf set below it, and shared by every root; an edge's
-    split is applied only at the root.  A zero part toward an interior
-    endpoint is skipped: that root is the endpoint's own placement.
-    ``pair_index`` and ``paths`` are unused; they keep the signature the
-    benchmark's hooks bind (``min_w``, ``max_w`` at 3-4).
+    A dynamic program over subtrees: a state is an arc mask and the level
+    masks z_0 .. z_k packed ``n_leaves`` bits apart, z_d holding the
+    leaves at depth d below the top (deeper ones join no later arc and
+    drop out, so a shift is a bit shift cut at level k).  Where subtrees
+    meet, the levels are ORed and x -> y is set iff x is at depth 0 and
+    y at k: ``rows[z_0] * z_k`` both ways; under ``zero_discrete`` two
+    leaves at depth 0 drop the state.  The states below an edge, weight
+    included, are built once per call, keyed by the edge and the leaf
+    set below it, and shared by every root.  Splits with both parts
+    above 0 put no leaf at depth 0 and all give ``m_u | m_v``, taken once
+    per edge; a zero part toward an interior endpoint is skipped (that
+    root is the endpoint's own placement).  ``pair_index`` and ``paths``
+    are unused; they keep the signature the benchmark's hooks bind
+    (``min_w``, ``max_w`` at 3-4).
     """
-    n, cap, full = n_leaves, k + 1, (1 << n_leaves) - 1
+    n, full = n_leaves, (1 << n_leaves) - 1
     memo: dict[tuple[int, int], set] = {}  # (edge, leaves below) -> states
-    step = [[min(d + w, cap) for d in range(cap + 1)] + [-1]
-            for w in range(max_w + 1)]  # step[w][d]: depth d after w; -1 stays
+    kn, keep = k * n, (1 << (k + 1) * n) - 1
+    rows = [sum(1 << x * n for x in range(n) if z >> x & 1)
+            for z in range(full + 1)]  # rows[z]: bit x * n per leaf x of z
 
     def branches(near: list[list[int]], leaves: int) -> list[tuple[int, int]]:
         """(edge, leaves beyond) per branch where ``near`` leads ``leaves``."""
@@ -184,25 +209,23 @@ def enumerate_rooted_arc_masks(
         return sorted(out.items())
 
     def shift(states: set, lo: int, hi: int) -> set:
-        return {(m, tuple(map(step[w].__getitem__, ds)))
-                for m, ds in states for w in range(lo, hi + 1)}
+        return {(m, z << w * n & keep)
+                for w in range(lo, hi + 1) for m, z in states}
 
     def merge(a: set, b: set) -> set:
-        # per state: mask, depths, rows of the depth-0 leaves, depth-k columns
-        ends = [[(m, ds, sum(1 << x * n for x, d in enumerate(ds) if d == 0),
-                  sum(1 << y for y, d in enumerate(ds) if d == k))
-                 for m, ds in states] for states in (a, b)]
+        # per state: mask, rows of the depth-0 leaves, depth-k leaves, levels
+        ends = [[(m, rows[z & full], z >> kn, z) for m, z in states]
+                for states in (a, b)]
         out = set()
-        for ma, da, za, ka in ends[0]:
-            for mb, db, zb, kb in ends[1]:
-                if not (zero_discrete and za and zb):
-                    out.add((ma | mb | za * kb | zb * ka,
-                             tuple(map(max, da, db))))
+        for ma, ra, ka, za in ends[0]:
+            for mb, rb, kb, zb in ends[1]:
+                if not (zero_discrete and ra and rb):
+                    out.add((ma | mb | ra * kb | rb * ka, za | zb))
         return out
 
     def join(near: list[list[int]], leaves: int) -> set:
         """The states at the vertex that ``near`` leads ``leaves`` to."""
-        alone = {(0, tuple(0 if leaves == 1 << y else -1 for y in range(n)))}
+        alone = {(0, leaves if leaves & leaves - 1 == 0 else 0)}
         return reduce(merge, [memo[b] for b in branches(near, leaves)], alone)
 
     def top(near: list[list[int]], leaves: int) -> set:
@@ -220,10 +243,14 @@ def enumerate_rooted_arc_masks(
     masks = {m for rts in interior_roots for m, _ in top(rts, full)}
     for e, (u_leaf, v_leaf, side, near) in enumerate(edge_roots):
         u_side = sum(side[x] << x for x in range(n))
-        u, v = top(near, u_side), top(near, full ^ u_side)
-        for w in range(min_w[e], max_w + 1):
-            for a in range(w + 1):
-                if (a or u_leaf) and (a < w or v_leaf):
-                    root = merge(shift(u, a, a), shift(v, w - a, w - a))
-                    masks.update(m for m, _ in root)
+        u, v, lo = top(near, u_side), top(near, full ^ u_side), min_w[e]
+        if u_leaf:  # a = 0 (and w > 0 unless v is a leaf too)
+            root = merge(u, shift(v, lo if v_leaf else max(lo, 1), max_w))
+            masks.update(m for m, _ in root)
+        if v_leaf:  # a = w > 0
+            root = merge(shift(u, max(lo, 1), max_w), v)
+            masks.update(m for m, _ in root)
+        if max_w >= 2:  # 0 < a < w: no leaf at depth 0, no arc added
+            m_u, m_v = {m for m, _ in u}, {m for m, _ in v}
+            masks.update(mu | mv for mu in m_u for mv in m_v)
     return masks

@@ -26,9 +26,9 @@ from .graphs import Graph, from_edge_list
 
 class _Tree:
     """What both tree types share: the storage, the queries, and
-    equality and hashing by one key, its canonical form."""
+    equality and hashing by one key, its canonical form, kept once built."""
 
-    __slots__ = ("nv", "adj", "names", "_name_to_vertex")
+    __slots__ = ("nv", "adj", "names", "_name_to_vertex", "_form")
 
     def __init__(self, nv: int, adj: tuple[dict[int, int], ...],
                  names: dict[int, str]):
@@ -36,6 +36,7 @@ class _Tree:
         self.adj = adj
         self.names = names
         self._name_to_vertex = {s: v for v, s in names.items()}
+        self._form: tuple = ()  # the key, built on first use
 
     @property
     def leaf_names(self) -> list[str]:
@@ -97,7 +98,8 @@ class LabeledTree(_Tree):
         return sum(w for _, _, w in self.weighted_edges())
 
     def _key(self) -> tuple:
-        return canonical_form(self)
+        self._form = self._form or canonical_form(self)
+        return self._form
 
 
 class RootedLabeledTree(_Tree):
@@ -124,7 +126,8 @@ class RootedLabeledTree(_Tree):
         return t
 
     def _key(self) -> tuple:
-        return rooted_canonical_form(self)
+        self._form = self._form or rooted_canonical_form(self)
+        return self._form
 
 
 def _validate(nv: int, edges: Iterable[tuple[int, int, int]],

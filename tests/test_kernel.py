@@ -9,7 +9,10 @@ free weights; the canonical and zero-discrete configurations are
 filters of that walk, which keep its order.  The odometer references in
 ``conftest`` visit every weighting (and every root placement); the
 pruned kernels must return exactly what they return, lists in the same
-order.
+order.  Where the odometers are too slow (six leaves for the rooted
+kernel, every labeled 5-leaf topology for the search), the kernels
+must equal the ones their rewrite replaced, kept in ``conftest`` as
+``previous_rooted_arc_masks`` and ``previous_matching_weightings``.
 """
 
 from itertools import product
@@ -17,6 +20,8 @@ from itertools import product
 import pytest
 
 from conftest import (_tree_with_weights, pair_index_of,
+                      previous_matching_weightings,
+                      previous_rooted_arc_masks,
                       reference_matching_weightings,
                       reference_rooted_arc_masks)
 from exact2rel._kernel import (enumerate_relation_masks,
@@ -153,8 +158,57 @@ def test_rooted_kernel_equals_the_odometer(k):
 
 
 @pytest.mark.parametrize("k", [1, 2])
+def test_rooted_kernel_equals_the_odometer_at_cap_k(k):
+    """Every shape with 2-4 leaves at cap k.  At k = 1 no edge can be
+    split into two positive parts, which the larger caps always allow."""
+    for topo, sh in shapes(range(2, 5)):
+        odometer_agrees(topo, sh, k, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
 def test_rooted_kernel_equals_the_odometer_at_five_leaves(k):
     """The three unlabeled 5-leaf shapes at cap k+1.  The odometer needs
     seconds here, so larger caps and k = 3 stop at four leaves."""
     for topo in unlabeled_shapes(5):
         odometer_agrees(topo, _prepare(topo), k, k + 1)
+
+
+def configurations_of(sh):
+    """(min_w, zero_discrete) per kernel configuration: canonical and
+    free weights, zero-discrete off and on."""
+    for min_w in (sh.min_w_canonical, sh.min_w_free):
+        for zero_discrete in (False, True):
+            yield min_w, zero_discrete
+
+
+def test_rooted_kernel_equals_the_previous_kernel_at_six_leaves():
+    """The seven unlabeled 6-leaf shapes at k = 2, cap 3, in every
+    configuration: the level-mask kernel returns the set of the
+    depth-vector kernel it replaced."""
+    k = 2
+    for topo in unlabeled_shapes(6):
+        sh = _prepare(topo)
+        for min_w, zero_discrete in configurations_of(sh):
+            args = (6, pair_index_of(6), sh.paths, min_w, k + 1, k,
+                    zero_discrete, sh.interior_roots, sh.edge_roots)
+            assert (enumerate_rooted_arc_masks(*args)
+                    == previous_rooted_arc_masks(*args))
+
+
+def test_matching_weightings_equals_the_previous_search():
+    """Every labeled 5-leaf topology at k = 2 in every configuration,
+    for every achievable target plus the empty and the full mask: the
+    same weighting lists in the same order as the copying search the
+    undo walk replaced.  Canonical and free weights run on the same
+    paths, so bounds cached per paths alone would fail here."""
+    k = 2
+    for topo in enumerate_topologies(5):
+        sh = _prepare(topo)
+        n_pairs = len(sh.paths)
+        for min_w, zero_discrete in configurations_of(sh):
+            args = (n_pairs, sh.paths, min_w, k + 1, k, zero_discrete)
+            targets = {0, (1 << n_pairs) - 1,
+                       *enumerate_relation_masks(*args)}
+            for target in sorted(targets):
+                assert (matching_weightings(*args, target)
+                        == previous_matching_weightings(*args, target))

@@ -291,6 +291,26 @@ def test_deep_trees_hash_and_compare():
     assert run.returncode == 0, run.stderr[-2000:]
 
 
+def test_the_tree_key_is_built_once_per_tree(monkeypatch):
+    """Two hashes and one ``==`` build one key per tree, unrooted and
+    rooted: ``sibling_order`` runs once for each tree, not per call."""
+    calls = []
+    real = trees.sibling_order
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trees, "sibling_order", counted)
+    for read in (parse_newick, newick.parse_rooted_newick):
+        text = "((a:1,b:2):1,c:0,(d:3,e:1):2);"
+        a, b = read(text), read(text)
+        calls.clear()
+        hash(a), hash(a)
+        assert a == b and hash(b) == hash(a)
+        assert len(calls) == 2
+
+
 def test_trees_with_same_shape_different_names_differ():
     a = parse_newick("(a:1,b:1,c:1);")
     b = parse_newick("(a:1,b:1,d:1);")
