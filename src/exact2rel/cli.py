@@ -58,19 +58,15 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     text = _read(args.graph)
     if args.oriented:
         outcome = recognize_oriented(parse_oriented(text))
-        if outcome.decision:
-            _emit(format_rooted_newick(outcome.witness) + "\n", args.out)
-            return 0
-        certificate = " ".join(map(str, outcome.certificate))
-        _emit(f"no ({outcome.reason})\ncertificate: {certificate}\n", args.out)
-        return 1
-    g = parse_graph(text)
-    outcome = recognize(g)
+        write, no = format_rooted_newick, f"no ({outcome.reason})"
+    else:
+        outcome = recognize(parse_graph(text))
+        write, no = format_newick, "no"
     if outcome.decision:
-        _emit(format_newick(outcome.witness) + "\n", args.out)
+        _emit(write(outcome.witness) + "\n", args.out)
         return 0
     certificate = " ".join(map(str, outcome.certificate))
-    _emit(f"no\ncertificate: {certificate}\n", args.out)
+    _emit(f"{no}\ncertificate: {certificate}\n", args.out)
     return 1
 
 

@@ -18,7 +18,8 @@ from typing import Iterable
 
 from .graphs import (Graph, TwinPartition, block_decomposition,
                      connected_components, non_clique_block, quotient)
-from .trees import LabeledTree, _canonicalize, _Draft, relation_pairs
+from .trees import (LabeledTree, _canonicalize, _Draft, relation_matches,
+                    relation_pairs)
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,8 @@ def verify(t: LabeledTree, g: Graph, k: int) -> VerificationResult:
 
     Tree leaves must be named "0" .. "n-1" matching the graph's
     vertices; otherwise the result reports the name mismatch and fails.
-    The related leaf pairs are listed once (``relation_pairs``, linear
-    in the tree and the pairs); they are the graph's edges when each is
-    an edge and there are ``g.m`` of them.  Otherwise ``missing`` and
-    ``extra`` are the two set differences.
+    Then it passes when ``relation_matches`` holds; otherwise ``missing``
+    and ``extra`` are the set differences with the related pairs.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -247,15 +246,12 @@ def verify(t: LabeledTree, g: Graph, k: int) -> VerificationResult:
     if want != have:
         diff = tuple(sorted(want.symmetric_difference(have)))
         return VerificationResult(False, diff, (), ())
-    graph_vertex = {x: int(s) for x, s in t.names.items()}
-    pairs = [(graph_vertex[x], graph_vertex[y])
-             for x, y in relation_pairs(t, 0, k)]
-    if len(pairs) == g.m and all(v in g.adj[u] for u, v in pairs):
+    if relation_matches(t, 0, k, g.adj):
         return VerificationResult(True, (), (), ())
-    related = {(min(p), max(p)) for p in pairs}
-    missing = sorted(g.edges - related)
-    extra = sorted(related - g.edges)
-    return VerificationResult(False, (), tuple(missing), tuple(extra))
+    related = {tuple(sorted((int(t.names[x]), int(t.names[y]))))
+               for x, y in relation_pairs(t, 0, k)}
+    return VerificationResult(False, (), tuple(sorted(g.edges - related)),
+                              tuple(sorted(related - g.edges)))
 
 
 def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:

@@ -440,6 +440,11 @@ def find_cycle(g: Graph) -> list[int] | None:
 # emits edges sorted lexicographically.  The same layout serves oriented
 # graphs, with each line read as an arc tail -> head.
 
+# The most vertices a header may declare: the readers allocate for each
+# one (an edgeless graph at the bound recognizes at a peak near 380 MB).
+MAX_VERTICES = 200_000
+
+
 def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
     # split() drops the whitespace strip() would, so a line is blank or a
     # comment exactly when it splits to nothing or to a "#..." first field
@@ -458,6 +463,9 @@ def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
         raise GraphFormatError(f"line {lineno}: header must be two integers") from None
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative count in header")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"line {lineno}: {n} vertices is more than "
+                               f"the limit of {MAX_VERTICES}")
     # count every edge line, read them up to the first bad one: a wrong
     # count outranks a bad line
     pairs = []
@@ -500,14 +508,16 @@ def _plain_pairs(text: str) -> tuple[int, list[int], list[int]] | None:
     The plain layout is what ``format_graph`` and ``format_oriented``
     write: a header ``n m``, then ``m`` lines ``u v``, each of ASCII
     digits split by one space and ended by a newline.  Its shape is
-    checked and its numbers read in bulk; ``_parse_pairs`` reads any
-    other text, with the same results and errors.
+    checked and its numbers read in bulk; ``_parse_pairs`` reads other
+    text and headers above ``MAX_VERTICES``, same results and errors.
     """
     head, _, body = text.partition("\n")
     parts = head.split()
     if len(parts) != 2 or head.translate(_DIGITS) != " ":
         return None
     n, m = map(int, parts)
+    if n > MAX_VERTICES:  # refused, with its message, by ``_parse_pairs``
+        return None
     shape = body.translate(_DIGITS)
     # the length first: a header can announce more lines than memory holds
     if len(shape) != 2 * m or shape != " \n" * m:

@@ -20,7 +20,7 @@ from .graphs import (Graph, OrientedGraph, TwinPartition,
                      from_arc_list, underlying_graph)
 from .newick import subtree_text
 from .trees import (LabeledTree, RootedLabeledTree, _Draft,
-                    certify_relation, is_canonical, relation_pairs)
+                    is_canonical, relation_matches, relation_pairs)
 
 
 def format_rooted_newick(t: RootedLabeledTree) -> str:
@@ -50,10 +50,11 @@ def directed_explain(t: RootedLabeledTree, k: int) -> OrientedGraph:
     leaves at up-weight 0 from their meeting point and simultaneously at
     positive down-weight, which is impossible.
     """
-    names = t.leaf_names
-    idx = {s: i for i, s in enumerate(names)}
-    arcs = [(idx[a], idx[b]) for a, b in directed_relation_pairs(t, k)]
-    return from_arc_list(len(names), arcs)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    index = {t.vertex_of(s): i for i, s in enumerate(t.leaf_names)}
+    return from_arc_list(len(index), [(index[x], index[y]) for x, y
+                                      in relation_pairs(t, t.root, k, True)])
 
 
 # ======================================================================
@@ -67,6 +68,9 @@ def enumerate_rooted(t: LabeledTree) -> Iterator[RootedLabeledTree]:
     (j, m - j) at a new root, where a part may be 0 only toward a leaf.
     Every interior vertex of ``t`` has degree >= 3 and no interior edge
     weighs 0, so no two placements give equal rooted trees.
+
+    ``t`` is checked once, at the call.  Rootings share its storage (a
+    split copies its two ends' dicts) and are not validated again.
 
     Args:
         t: canonical tree with at least 2 vertices.
@@ -83,17 +87,22 @@ def enumerate_rooted(t: LabeledTree) -> Iterator[RootedLabeledTree]:
         raise ValueError("cannot root a single-vertex tree")
     if not is_canonical(t):
         raise ValueError("input tree must be canonical")
-    edges = t.weighted_edges()
-    r = t.nv  # id for the inserted root
     return chain(
-        (RootedLabeledTree.build(t.nv, edges, t.names, root=v)
+        (RootedLabeledTree._hung(t.nv, t.adj, t.names, v)
          for v in t.interior_vertices()),
-        (RootedLabeledTree.build(
-            t.nv + 1, edges[:i] + edges[i + 1:] + [(u, r, j), (r, v, m - j)],
-            t.names, root=r)
-         for i, (u, v, m) in enumerate(edges) if m > 0
+        (_split(t, u, v, m, j) for u, v, m in t.weighted_edges() if m > 0
          for j in range(0 if u in t.names else 1,
                         m + 1 if v in t.names else m)))
+
+
+def _split(t: LabeledTree, u: int, v: int, m: int,
+           j: int) -> RootedLabeledTree:
+    """``t`` rooted at a new vertex ``j`` from ``u`` on its edge to ``v``."""
+    r = t.nv
+    adj = [*t.adj, {u: j, v: m - j}]
+    adj[u], adj[v] = {**adj[u], r: j}, {**adj[v], r: m - j}
+    del adj[u][v], adj[v][u]
+    return RootedLabeledTree._hung(r + 1, tuple(adj), t.names, r)
 
 
 # ======================================================================
@@ -221,10 +230,7 @@ def _construct(d: OrientedGraph, p: TwinPartition, q: OrientedGraph,
             draft.link(root, rc, 3)
 
     t = draft.rooted(root)
-    vertex = [t.vertex_of(str(v)) for v in range(d.n)]
-    arcs = [(vertex[x], vertex[y]) for x, nbrs in enumerate(d.out_adj)
-            for y in nbrs]
-    if not certify_relation(t, t.root, arcs, 2, directed=True):
+    if not relation_matches(t, t.root, 2, d.out_adj, directed=True):
         raise AssertionError("internal error: constructed tree does not "
                              "reproduce the input relation")
     return t

@@ -19,7 +19,7 @@ any leaf-to-leaf path weight relation it realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .graphs import Graph, from_edge_list
 
@@ -84,12 +84,7 @@ class LabeledTree(_Tree):
             ValueError: if the edge set is not a tree, a weight is
                 negative or non-integer, or the naming is wrong.
         """
-        adj, named, _ = _validate(nv, edges, names, None)
-        return cls(nv, adj, named)
-
-    @property
-    def leaf_vertices(self) -> list[int]:
-        return [v for v in range(self.nv) if len(self.adj[v]) <= 1]
+        return cls(nv, *_validate(nv, edges, names, None))
 
     def interior_vertices(self) -> list[int]:
         return [v for v in range(self.nv) if len(self.adj[v]) >= 2]
@@ -107,22 +102,26 @@ class RootedLabeledTree(_Tree):
 
     Leaves are the non-root vertices of degree <= 1; each carries a
     unique name.  The root is unnamed and may have any degree >= 1.
-    ``parent`` holds each vertex's parent, ``None`` at the root; both
-    are set by ``build`` after the shared initializer.
     """
 
-    __slots__ = ("root", "parent")
+    __slots__ = ("root",)
 
     @classmethod
     def build(cls, nv: int, edges: Iterable[tuple[int, int, int]],
               names: Mapping[int, str], root: int) -> "RootedLabeledTree":
         """Validate and build.  ``names`` must cover exactly the non-root
         vertices of degree <= 1; the root must not be named."""
-        adj, named, parent = _validate(nv, edges, names, root)
+        adj, named = _validate(nv, edges, names, root)
         if nv == 1:
             raise ValueError("a rooted tree needs at least one leaf under the root")
-        t = cls(nv, adj, named)
-        t.root, t.parent = root, parent
+        return cls._hung(nv, adj, named, root)
+
+    @classmethod
+    def _hung(cls, nv: int, adj: tuple[dict[int, int], ...],
+              names: dict[int, str], root: int) -> "RootedLabeledTree":
+        """Already valid storage, unchecked; every root is set here."""
+        t = cls(nv, adj, names)
+        t.root = root
         return t
 
     def _key(self) -> tuple:
@@ -132,13 +131,11 @@ class RootedLabeledTree(_Tree):
 
 def _validate(nv: int, edges: Iterable[tuple[int, int, int]],
               names: Mapping[int, str], root: int | None
-              ) -> tuple[tuple[dict[int, int], ...], dict[int, str],
-                         tuple[int | None, ...]]:
+              ) -> tuple[tuple[dict[int, int], ...], dict[int, str]]:
     """Check that ``edges`` form a tree on ``0 .. nv-1`` whose leaves,
     the vertices of degree <= 1 other than ``root`` (``None`` for an
     unrooted tree), are exactly the keys of ``names``, with distinct
-    non-empty names.  Returns the adjacency, the names and each
-    vertex's parent in the tree hung from ``root`` (or from 0)."""
+    non-empty names.  Returns the adjacency and the names."""
     adj: list[dict[int, int]] = [dict() for _ in range(nv)]
     count = 0
     for u, v, w in edges:
@@ -148,8 +145,7 @@ def _validate(nv: int, edges: Iterable[tuple[int, int, int]],
             raise ValueError(f"edge ({u}, {v}) needs a non-negative integer weight")
         if v in adj[u]:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        adj[u][v] = w
-        adj[v][u] = w
+        adj[u][v] = adj[v][u] = w
         count += 1
     if root is None:
         if nv == 0:
@@ -158,14 +154,11 @@ def _validate(nv: int, edges: Iterable[tuple[int, int, int]],
         raise ValueError("root out of range")
     if count != nv - 1:
         raise ValueError(f"{count} edges on {nv} vertices is not a tree")
-    top = 0 if root is None else root
-    parent: list[int | None] = [-1] * nv  # -1: not reached yet
-    parent[top] = None
-    order = [top]
+    order, seen = [0], [True] + [False] * (nv - 1)
     for x in order:
         for y in adj[x]:
-            if parent[y] == -1:
-                parent[y] = x
+            if not seen[y]:
+                seen[y] = True
                 order.append(y)
     if len(order) != nv:
         raise ValueError("edge set is not connected")
@@ -180,7 +173,7 @@ def _validate(nv: int, edges: Iterable[tuple[int, int, int]],
         raise ValueError("duplicate leaf name")
     if not all(vals):
         raise ValueError("empty leaf name")
-    return tuple(adj), named, tuple(parent)
+    return tuple(adj), named
 
 
 @dataclass(frozen=True)
@@ -288,17 +281,15 @@ def relation_pairs(t, root: int, k: int,
     return out
 
 
-def certify_relation(t, root: int, pairs: list[tuple[int, int]], k: int,
+def relation_matches(t, root: int, k: int, adj: Sequence[AbstractSet[int]],
                      directed: bool = False) -> bool:
-    """True when the leaf pairs ``pairs`` (vertex ids, distinct pairs)
-    are exactly the level-``k`` relation of ``t`` hung from ``root``, as
-    ``relation_pairs`` lists it; undirected, a pair may come in either
-    order."""
-    given = set(pairs)
-    if not directed:
-        given.update((y, x) for x, y in pairs)
-    related = relation_pairs(t, root, k, directed)
-    return len(related) == len(pairs) and all(p in given for p in related)
+    """The one check of a tree against a graph: hung from ``root``, the
+    leaves of ``t`` (``str(i)`` for vertex ``i``) relate at level ``k``
+    as the sets ``adj`` say (out-neighbours when ``directed``)."""
+    vertex = {x: int(s) for x, s in t.names.items()}
+    pairs = relation_pairs(t, root, k, directed)
+    return (len(pairs) == sum(map(len, adj)) // (1 if directed else 2)
+            and all(vertex[y] in adj[vertex[x]] for x, y in pairs))
 
 
 def explain(t: LabeledTree, k: int) -> Graph:

@@ -87,6 +87,29 @@ def random_rooted_tree(rng, n_leaves, max_weight=3):
             return rng.choice(roots)
 
 
+def numbered(t):
+    """``t`` with its leaves renamed "0" .. "n-1" in sorted-name order
+    (a rooted tree keeps its root), so it can be checked against graphs."""
+    rank = {s: str(i) for i, s in enumerate(t.leaf_names)}
+    names = {v: rank[s] for v, s in t.names.items()}
+    if isinstance(t, RootedLabeledTree):
+        return RootedLabeledTree.build(t.nv, t.weighted_edges(), names,
+                                       root=t.root)
+    return LabeledTree.build(t.nv, t.weighted_edges(), names)
+
+
+def adjacency(n, pairs, directed=False):
+    """Adjacency sets on vertices ``0 .. n-1`` holding ``pairs`` (as
+    out-neighbour sets when ``directed``), the form
+    ``trees.relation_matches`` reads."""
+    adj = [set() for _ in range(n)]
+    for x, y in pairs:
+        adj[x].add(y)
+        if not directed:
+            adj[y].add(x)
+    return adj
+
+
 def random_block_graph(rng, n):
     """Random block graph on exactly ``n`` vertices, possibly
     disconnected: grow by gluing small cliques at single vertices."""
@@ -289,31 +312,47 @@ def reference_verify(t, g, k):
                               tuple(sorted(extra)))
 
 
-def ancestors(t, v):
+def parents(t):
+    """Each vertex's parent in the rooted tree ``t`` (``None`` at the
+    root), from a breadth-first walk of its own."""
+    up = {t.root: None}
+    order = [t.root]
+    for x in order:
+        for y in t.adj[x]:
+            if y not in up:
+                up[y] = x
+                order.append(y)
+    return up
+
+
+def ancestors(t, v, up=None):
     """v itself, then each ancestor up to and including the root of the
-    rooted tree ``t``."""
+    rooted tree ``t``; ``up`` is ``parents(t)``, walked if not given."""
+    up = up or parents(t)
     out = [v]
-    while t.parent[out[-1]] is not None:
-        out.append(t.parent[out[-1]])
+    while up[out[-1]] is not None:
+        out.append(up[out[-1]])
     return out
 
 
-def up_weight(t, v, ancestor):
+def up_weight(t, v, ancestor, up=None):
     """Weight of the path from ``v`` up to its ``ancestor`` in ``t``."""
+    up = up or parents(t)
     total = 0
     while v != ancestor:
-        p = t.parent[v]
+        p = up[v]
         total += t.adj[v][p]
         v = p
     return total
 
 
-def lca(t, a, b):
+def lca(t, a, b, up=None):
     """Lowest common ancestor of ``a`` and ``b`` in the rooted tree ``t``."""
-    anc = set(ancestors(t, a))
+    up = up or parents(t)
+    anc = set(ancestors(t, a, up))
     x = b
     while x not in anc:
-        x = t.parent[x]
+        x = up[x]
     return x
 
 
@@ -322,13 +361,14 @@ def reference_directed_relation_pairs(t, k):
     walks."""
     out = set()
     names = t.leaf_names
+    up = parents(t)
     for a in names:
         for b in names:
             if a == b:
                 continue
             x, y = t.vertex_of(a), t.vertex_of(b)
-            m = lca(t, x, y)
-            if up_weight(t, x, m) == 0 and up_weight(t, y, m) == k:
+            m = lca(t, x, y, up)
+            if up_weight(t, x, m, up) == 0 and up_weight(t, y, m, up) == k:
                 out.add((a, b))
     return out
 
@@ -392,6 +432,58 @@ def reference_matching_weightings(n_pairs, paths, min_w, max_w, k,
         if e == n_edges:
             return found
         w[e] += 1
+
+
+def reference_configurations(n_pairs, paths, min_w_canonical, min_w_free,
+                             max_w, k):
+    """``reference_matching_weightings`` in all four configurations from
+    one walk over the free box: each weighting's mask, zero-discrete
+    flag and canonical flag are recorded once, and each configuration
+    keeps the weightings it admits.  The walk sets the last edge
+    outermost and edge 0 innermost, the odometer's order; a pair's
+    weight is read when the smallest edge on its path is set.  A
+    sub-box comes in the same order, so every list is in the order a
+    direct call gives.  Yields ``(min_w, zero_discrete, by_mask)``,
+    canonical weights first, zero-discrete off first."""
+    n_edges = len(min_w_free)
+    on_edge = [[p for p, path in enumerate(paths) if e in path]
+               for e in range(n_edges)]
+    closed_at = [[p for p, path in enumerate(paths) if min(path) == e]
+                 for e in range(n_edges)]
+    d = [0] * n_pairs
+    w = [0] * n_edges
+    walked = []
+
+    def walk(e, mask, zd, canon):
+        for x in range(min_w_free[e], max_w + 1):
+            w[e] = x
+            for p in on_edge[e]:
+                d[p] += x
+            m, z = mask, zd
+            for p in closed_at[e]:
+                if d[p] == k:
+                    m |= 1 << p
+                if d[p] == 0:
+                    z = False
+            c = canon and x >= min_w_canonical[e]
+            if e:
+                walk(e - 1, m, z, c)
+            else:
+                walked.append((tuple(w), m, z, c))
+            for p in on_edge[e]:
+                d[p] -= x
+
+    if n_edges:
+        walk(n_edges - 1, 0, True, True)
+    else:
+        walked.append(((), 0, True, True))
+    for min_w, canonical in ((min_w_canonical, True), (min_w_free, False)):
+        for zero_discrete in (False, True):
+            by_mask = {}
+            for ws, mask, zd, canon in walked:
+                if (canon or not canonical) and (zd or not zero_discrete):
+                    by_mask.setdefault(mask, []).append(ws)
+            yield min_w, zero_discrete, by_mask
 
 
 # The undirected search and the rooted kernel as they were before their
@@ -708,6 +800,24 @@ def brute_force_rootings(t: LabeledTree):
     return out
 
 
+def reference_rootings(t: LabeledTree):
+    """``rooted.enumerate_rooted``'s placements in its order, each through
+    a validated ``RootedLabeledTree.build`` from an edge list, the way
+    it made them before rootings shared their input's storage."""
+    edges = t.weighted_edges()
+    for v in t.interior_vertices():
+        yield RootedLabeledTree.build(t.nv, edges, t.names, root=v)
+    r = t.nv
+    for i, (u, v, m) in enumerate(edges):
+        if m == 0:
+            continue
+        for j in range(0 if u in t.names else 1,
+                       m + 1 if v in t.names else m):
+            yield RootedLabeledTree.build(
+                t.nv + 1, edges[:i] + edges[i + 1:] + [(u, r, j), (r, v, m - j)],
+                t.names, root=r)
+
+
 def reference_enumerate_rooted(t: LabeledTree):
     """``rooted.enumerate_rooted`` as three moves, filtering each edge
     list by endpoints per rooting: root at an interior vertex; subdivide
@@ -726,7 +836,7 @@ def reference_enumerate_rooted(t: LabeledTree):
         out.add(RootedLabeledTree.build(t.nv, base_edges, t.names, root=v))
 
     r = t.nv  # id for the inserted root
-    for v in t.leaf_vertices:
+    for v in sorted(t.names):  # the leaves: the vertices of degree 1
         (w,) = t.adj[v].keys()
         lam = t.adj[v][w]
         if lam <= 0:

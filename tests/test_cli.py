@@ -1,6 +1,11 @@
 import gc
 import io
+import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -330,3 +335,41 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, write, monkeypatch):
         (gc.enable if was else gc.disable)()
     assert codes == [0, 2, ("SystemExit", 2), 3]
     assert during == [False]
+
+
+# the child's address space: a reader that allocated for every declared
+# vertex would run out here and exit 3, not exhaust the machine
+CHILD_ADDRESS_SPACE = 512 * 2**20
+
+
+def _capped_run(argv):
+    """``exact2rel`` with ``argv`` in a child process whose address space
+    is capped; the cap is set on the child only."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "exact2rel.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap)
+
+
+def test_headers_above_the_vertex_limit_are_refused(write):
+    """A header above ``graphs.MAX_VERTICES`` is a format error (exit 2,
+    the limit named) before anything is allocated, through the bulk
+    reader and the line-by-line one, for every subcommand that reads a
+    graph.  The limit keeps 10^5-vertex graphs readable."""
+    assert graphs.MAX_VERTICES >= 10**5
+    tree = write("t.nwk", "(0:2,1:2);\n")
+    over = graphs.MAX_VERTICES + 1
+    runs = [["recognize", write("a.txt", f"{10**12} 0\n")],
+            ["recognize", write("b.txt", f"{over} 0\n")],
+            ["recognize", "--oriented", write("c.txt", f"# x\n{10**12} 0\n")],
+            ["recognize", "--oriented", write("d.txt", f"{over} 1\n0 1\n")],
+            ["quotient", write("e.txt", f"{over} 0")],
+            ["verify", tree, write("f.txt", f"{10**12} 1\n0 1\n")]]
+    for argv in runs:
+        run = _capped_run(argv)
+        assert (run.returncode, run.stdout) == (2, ""), (argv, run.stderr)
+        assert f"the limit of {graphs.MAX_VERTICES}" in run.stderr, argv

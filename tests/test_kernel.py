@@ -21,7 +21,7 @@ import pytest
 
 from conftest import (_tree_with_weights, pair_index_of,
                       previous_matching_weightings,
-                      previous_rooted_arc_masks,
+                      previous_rooted_arc_masks, reference_configurations,
                       reference_matching_weightings,
                       reference_rooted_arc_masks)
 from exact2rel._kernel import (enumerate_relation_masks,
@@ -106,16 +106,30 @@ def test_pruned_kernels_equal_the_odometer(k):
     every achievable target plus the empty and the full mask (5)."""
     for topo, sh in shapes(range(1, 6)):
         n_pairs = len(sh.paths)
-        for min_w in (sh.min_w_canonical, sh.min_w_free):
-            for zero_discrete in (False, True):
-                args = (n_pairs, sh.paths, min_w, k + 1, k, zero_discrete)
-                by_mask = reference_matching_weightings(*args)
-                assert enumerate_relation_masks(*args) == set(by_mask)
-                targets = (range(1 << n_pairs) if topo.n_leaves <= 4 else
-                           {0, (1 << n_pairs) - 1, *by_mask})
-                for target in targets:
-                    assert (matching_weightings(*args, target)
-                            == by_mask.get(target, []))
+        for min_w, zero_discrete, by_mask in reference_configurations(
+                n_pairs, sh.paths, sh.min_w_canonical, sh.min_w_free,
+                k + 1, k):
+            args = (n_pairs, sh.paths, min_w, k + 1, k, zero_discrete)
+            assert enumerate_relation_masks(*args) == set(by_mask)
+            targets = (range(1 << n_pairs) if topo.n_leaves <= 4 else
+                       {0, (1 << n_pairs) - 1, *by_mask})
+            for target in targets:
+                assert (matching_weightings(*args, target)
+                        == by_mask.get(target, []))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_odometer_walk_gives_every_configuration(k):
+    """Every shape with 1-4 leaves: each configuration derived from the
+    one free walk equals a direct walk of the odometer in it, lists in
+    the same order."""
+    for topo, sh in shapes(range(1, 5)):
+        n_pairs = len(sh.paths)
+        for min_w, zero_discrete, by_mask in reference_configurations(
+                n_pairs, sh.paths, sh.min_w_canonical, sh.min_w_free,
+                k + 1, k):
+            assert by_mask == reference_matching_weightings(
+                n_pairs, sh.paths, min_w, k + 1, k, zero_discrete)
 
 
 # the reference roots every tree at up to ~20 places; at k = 3 on four

@@ -1,8 +1,10 @@
 """``relation_pairs``, the one listing of the level-k leaf relation, and
 everything that reads it (``explain``, ``directed_explain``,
-``directed_relation_pairs``, ``is_zero_discrete``, ``verify`` and both
-self-checks), against the all-pairs references: the leaf distance
-matrix, ``reference_verify`` and ``reference_directed_relation_pairs``.
+``directed_relation_pairs`` and ``relation_matches``, the one check of a
+tree against a graph, behind ``verify`` and both self-checks), against
+the all-pairs references: the leaf distance matrix, ``reference_verify``
+and ``reference_directed_relation_pairs``.  ``is_zero_discrete`` walks
+the 0-weight edges instead; it must agree with the level-0 matrix.
 """
 
 import random
@@ -11,14 +13,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_directed_relation_pairs, reference_verify
+from conftest import (adjacency, numbered, reference_directed_relation_pairs,
+                      reference_verify)
 from exact2rel import (LabeledTree, RootedLabeledTree, construct_oriented,
                        directed_explain, directed_relation_pairs,
                        enumerate_rooted, enumerate_topologies, explain,
                        from_arc_list, from_edge_list, is_zero_discrete,
                        leaf_distance_matrix, recognize, verify)
 from exact2rel.cli import main
-from exact2rel.trees import certify_relation, relation_pairs
+from exact2rel.trees import relation_matches, relation_pairs
 
 
 def matrix_pairs(t, k):
@@ -36,38 +39,31 @@ def listed(t, root, k, directed=False):
     return [(t.names[x], t.names[y]) for x, y in pairs]
 
 
-def numbered(t):
-    """``t`` with its leaves renamed "0" .. "n-1" in sorted-name order,
-    so it can be verified against graphs."""
-    rank = {s: str(i) for i, s in enumerate(t.leaf_names)}
-    return LabeledTree.build(t.nv, t.weighted_edges(),
-                             {v: rank[s] for v, s in t.names.items()})
-
-
 def check_undirected(t, rng):
     """Every reader of the undirected relation equals its reference at
-    k = 0..4, from every root."""
+    k = 0..4, from every root, and the relation check accepts the
+    related pairs and refuses them with one dropped, one added, or one
+    swapped for an unrelated pair."""
     index = {s: i for i, s in enumerate(t.leaf_names)}
+    nt = numbered(t)
+    n = nt.n_leaves
     for k in range(5):
         want = matrix_pairs(t, k)
+        edges = sorted((index[a], index[b]) for a, b in want)
+        others = sorted(set(combinations(range(n), 2)) - set(edges))
         for root in range(t.nv):
             got = listed(t, root, k)
             assert len(got) == len(want)
             assert {tuple(sorted(p)) for p in got} == want
-        ids = [(t.vertex_of(a), t.vertex_of(b)) for a, b in sorted(want)]
-        assert certify_relation(t, 0, ids, k)
-        assert certify_relation(t, 0, [(y, x) for x, y in ids], k)
-        if ids:
-            assert not certify_relation(t, 0, ids[1:], k)
-            assert not certify_relation(t, 0, ids + ids[:1], k)
+            assert relation_matches(nt, root, k, adjacency(n, edges))
+        for wrong in (edges[1:], edges + others[:1], edges[1:] + others[:1]):
+            if wrong != edges:
+                assert not relation_matches(nt, 0, k, adjacency(n, wrong))
         if k == 0:
             assert is_zero_discrete(t) == (not want)
             continue
-        g = from_edge_list(t.n_leaves,
-                           [(index[a], index[b]) for a, b in want])
+        g = from_edge_list(n, edges)
         assert explain(t, k) == g
-        nt = numbered(t)
-        n = nt.n_leaves
         toggled = [g]
         if n >= 2:
             u, v = sorted(rng.sample(range(n), 2))
@@ -113,20 +109,23 @@ def test_directed_readers_match_the_reference_on_every_rooting():
 
 def check_directed(rt):
     index = {s: i for i, s in enumerate(rt.leaf_names)}
+    nrt = numbered(rt)
+    n = rt.n_leaves
     for k in range(5):
         want = reference_directed_relation_pairs(rt, k)
         got = listed(rt, rt.root, k, directed=True)
         assert len(got) == len(want) and set(got) == want
-        arcs = [(rt.vertex_of(a), rt.vertex_of(b)) for a, b in sorted(want)]
-        assert certify_relation(rt, rt.root, arcs, k, directed=True)
+        arcs = sorted((index[a], index[b]) for a, b in want)
+        assert relation_matches(nrt, nrt.root, k, adjacency(n, arcs, True),
+                                directed=True)
         if arcs and k:  # at k = 0 the relation is symmetric
             flipped = [(y, x) for x, y in arcs]
-            assert not certify_relation(rt, rt.root, flipped, k,
+            assert not relation_matches(nrt, nrt.root, k,
+                                        adjacency(n, flipped, True),
                                         directed=True)
         if k:
             assert directed_relation_pairs(rt, k) == want
-            assert directed_explain(rt, k) == from_arc_list(
-                rt.n_leaves, [(index[a], index[b]) for a, b in want])
+            assert directed_explain(rt, k) == from_arc_list(n, arcs)
 
 
 def zero_chain_tree(rng, nv):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (all_labeled_oriented, ancestors, brute_force_rootings,
-                      lca, random_arborescence_forest, random_canonical_tree,
+from conftest import (adjacency, all_labeled_oriented, ancestors,
+                      brute_force_rootings, lca, numbered, parents,
+                      random_arborescence_forest, random_canonical_tree,
                       random_directed_twin_blowup, random_rooted_tree,
                       random_tree, reference_directed_relation_pairs,
-                      reference_enumerate_rooted, up_weight)
+                      reference_enumerate_rooted, reference_rootings,
+                      up_weight)
 from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize, construct_oriented, directed_explain,
                        directed_relation_pairs, directed_twin_partition,
                        enumerate_rooted, enumerate_topologies,
@@ -18,7 +20,7 @@ from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize, construct_o
                        parse_oriented, parse_rooted_newick, recognize_oriented,
                        underlying_tree)
 from exact2rel.oracle import unlabeled_shapes
-from exact2rel.trees import certify_relation
+from exact2rel.trees import relation_matches
 
 
 def test_build_rejects_named_root():
@@ -47,7 +49,7 @@ def test_build_rejects_empty_leaf_name():
 def test_ancestor_queries():
     t = parse_rooted_newick("(a:1,(b:0,c:2):3);")
     a, b, c = (t.vertex_of(s) for s in "abc")
-    assert lca(t, b, c) == t.parent[b]
+    assert lca(t, b, c) == parents(t)[b]
     assert lca(t, a, c) == t.root
     assert up_weight(t, c, t.root) == 5
     assert up_weight(t, b, lca(t, b, c)) == 0
@@ -155,6 +157,65 @@ def test_enumerate_rooted_matches_the_three_moves():
     # the two 2-leaf cases: a 0-edge has no rooting, a weight-m edge m + 1
     assert list(enumerate_rooted(parse_newick("(b:0)a;"))) == []
     assert len(list(enumerate_rooted(parse_newick("(b:3)a;")))) == 4
+
+
+def snapshot(t):
+    """Everything a tree holds, dict order included."""
+    return (t.nv, [list(a.items()) for a in t.adj], list(t.names.items()))
+
+
+def assert_rootings_built_alike(t):
+    """Each rooting has the storage and root of a validated build of the
+    same placement, and walking them all leaves ``t`` as it was."""
+    before = snapshot(t)
+    got = list(enumerate_rooted(t))
+    assert snapshot(t) == before
+    want = list(reference_rootings(t))
+    assert len(got) == len(want)
+    for r, b in zip(got, want):
+        assert (r.nv, r.adj, r.names, r.root) == (b.nv, b.adj, b.names, b.root)
+        assert r == b
+
+
+def test_rootings_share_the_input_and_are_built_alike(monkeypatch):
+    """Every labeled shape with 2-5 leaves under random canonical
+    weights: rootings equal validated builds of their placements, and
+    ``enumerate_rooted`` builds none of them."""
+    rng = random.Random(25)
+    builds = []
+    real = RootedLabeledTree.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args)
+        return real(cls, *args, **kwargs)
+
+    for n in range(2, 6):
+        for topo in enumerate_topologies(n):
+            for _ in range(2):
+                t = LabeledTree.build(topo.nv, [
+                    (u, v, rng.randint(0 if u in topo.names
+                                       or v in topo.names else 1, 3))
+                    for u, v, _ in topo.weighted_edges()], topo.names)
+                monkeypatch.setattr(RootedLabeledTree, "build",
+                                    classmethod(counted))
+                rootings = list(enumerate_rooted(t))
+                monkeypatch.undo()
+                assert builds == []
+                if t.nv > 2:  # an interior rooting shares t's storage
+                    assert rootings[0].adj is t.adj
+                    assert rootings[0].names is t.names
+                assert_rootings_built_alike(t)
+
+
+@given(st.integers(3, 30), st.randoms(use_true_random=False),
+       st.lists(st.text("abyzAZ09_.-", min_size=2, max_size=5),
+                min_size=30, max_size=30, unique=True))
+def test_rootings_are_built_alike_on_named_trees(nv, rng, labels):
+    base = canonicalize(random_tree(rng, nv))
+    name = dict(zip(base.leaf_names, labels))
+    assert_rootings_built_alike(LabeledTree.build(
+        base.nv, base.weighted_edges(),
+        {v: name[s] for v, s in base.names.items()}))
 
 
 def test_zero_weight_pair_divergence():
@@ -276,27 +337,36 @@ def test_directed_relation_pairs_match_reference_on_small_rootings():
                                 == reference_directed_relation_pairs(rt, k))
 
 
-def arcs_of(t, pairs):
-    return [(t.vertex_of(a), t.vertex_of(b)) for a, b in sorted(pairs)]
+def arcs_of(pairs):
+    """Leaf-name pairs of a numbered tree as sorted graph arcs."""
+    return sorted((int(a), int(b)) for a, b in pairs)
+
+
+def matches(t, k, arcs):
+    """``relation_matches`` of the numbered rooted tree ``t`` against
+    the oriented graph with arcs ``arcs``."""
+    return relation_matches(t, t.root, k, adjacency(t.n_leaves, arcs, True),
+                            directed=True)
 
 
 @given(st.integers(3, 14), st.integers(1, 4), st.randoms(use_true_random=False))
 def test_directed_certificate_matches_reference(nv, k, rng):
     base = random_tree(rng, nv)
-    t = RootedLabeledTree.build(nv, base.weighted_edges(), base.names,
-                                root=rng.choice(base.interior_vertices()))
+    t = numbered(RootedLabeledTree.build(
+        nv, base.weighted_edges(), base.names,
+        root=rng.choice(base.interior_vertices())))
     related = reference_directed_relation_pairs(t, k)
     assert directed_relation_pairs(t, k) == related
-    arcs = arcs_of(t, related)
-    assert certify_relation(t, t.root, arcs, k, directed=True)
+    arcs = arcs_of(related)
+    assert matches(t, k, arcs)
     unrelated = sorted(set(permutations(t.leaf_names, 2)) - related)
-    added = arcs_of(t, [rng.choice(unrelated)]) if unrelated else []
+    added = arcs_of([rng.choice(unrelated)]) if unrelated else []
     if arcs:
         i = rng.randrange(len(arcs))
         for rest in (arcs[:i] + arcs[i + 1:], arcs[:i] + arcs[i + 1:] + added):
-            assert not certify_relation(t, t.root, rest, k, directed=True)
+            assert not matches(t, k, rest)
     if added:
-        assert not certify_relation(t, t.root, arcs + added, k, directed=True)
+        assert not matches(t, k, arcs + added)
 
 
 def test_construct_oriented_certificate_on_all_small_digraphs():
@@ -307,17 +377,15 @@ def test_construct_oriented_certificate_on_all_small_digraphs():
             t = construct_oriented(d)
             want = {(str(x), str(y)) for x, y in d.arcs}
             assert reference_directed_relation_pairs(t, 2) == want
-            arcs = arcs_of(t, want)
-            others = arcs_of(t, set(permutations(map(str, range(n)), 2)) - want)
+            arcs = arcs_of(want)
+            others = arcs_of(set(permutations(map(str, range(n)), 2)) - want)
             # drop an arc, add a non-arc, or swap one for the other
             for i in range(len(arcs) + 1):
                 rest = arcs[:i] + arcs[i + 1:]
                 if i < len(arcs):
-                    assert not certify_relation(t, t.root, rest, 2,
-                                                directed=True)
+                    assert not matches(t, 2, rest)
                 for pair in others:
-                    assert not certify_relation(t, t.root, rest + [pair], 2,
-                                                directed=True)
+                    assert not matches(t, 2, rest + [pair])
 
 
 def test_cycle_certificate_ignores_line_order():
