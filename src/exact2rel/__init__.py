@@ -27,7 +27,7 @@ from .rooted import (OrientedOutcome, construct_oriented, directed_explain,
                      format_rooted_newick, recognize_oriented)
 from .trees import (DistanceMatrix, LabeledTree, RootedLabeledTree,
                     canonicalize, explain, is_canonical, is_canonical_rooted,
-                    is_zero_discrete, leaf_distance_matrix, restrict, scale,
+                    is_zero_discrete, leaf_distance_matrix, restrict,
                     underlying_tree)
 
 __version__ = "0.1.0"

@@ -115,12 +115,13 @@ def _join(d: _Draft, parts: list[list[int]], k: int) -> None:
         d.link(a, b, k + 1)
 
 
-def _blow_up(d: _Draft, leaves: list[int], members: list[tuple[str, ...]],
+def _blow_up(d: _Draft, leaves: list[int], classes: Iterable[tuple[int, ...]],
              k: int) -> None:
-    """Put the members of each class where its leaf in ``leaves`` is, by
-    the rules of ``blow_up``."""
+    """Put the members of each class, named by their graph vertices,
+    where its leaf in ``leaves`` is, by the rules of ``blow_up``."""
     small = len(d.adj) <= 2  # no interior vertex to hang members from
-    for leaf, ms in zip(leaves, members):
+    for leaf, cls in zip(leaves, classes):
+        ms = tuple(map(str, cls))
         d.names.pop(leaf, None)
         if len(ms) == 1:
             d.names[leaf] = ms[0]
@@ -139,10 +140,6 @@ def _blow_up(d: _Draft, leaves: list[int], members: list[tuple[str, ...]],
                 d.link(q, attach, lam)
         for s in ms:
             d.link(attach, d.vertex(s), w)
-
-
-def _member_names(p: TwinPartition) -> list[tuple[str, ...]]:
-    return [tuple(map(str, cls)) for cls in p.classes]
 
 
 def construct_block_tree(g: Graph) -> LabeledTree:
@@ -223,7 +220,7 @@ def blow_up(tstar: LabeledTree, p: TwinPartition, k: int) -> LabeledTree:
     d = _Draft()
     d.add_tree(tstar)
     leaves = [tstar.vertex_of(str(i)) for i in range(len(p.classes))]
-    _blow_up(d, leaves, _member_names(p), k)
+    _blow_up(d, leaves, p.classes, k)
     return d.tree()
 
 
@@ -271,6 +268,21 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
     if g.n == 0:
         raise ValueError("the empty graph has no tree: a tree needs a leaf")
 
+    draft = _draft(g, k)
+    if isinstance(draft, tuple):
+        return RecognitionOutcome(False, None, draft)
+    witness = _canonicalize(draft.adj, draft.names)
+
+    check = verify(witness, g, k)
+    if not check.ok:
+        raise AssertionError(f"internal error: witness failed verification "
+                             f"({check})")
+    return RecognitionOutcome(True, witness, None)
+
+
+def _draft(g: Graph, k: int) -> _Draft | tuple[int, ...]:
+    """``recognize``'s draft witness, or its certificate; the quotient and
+    its blocks are freed before the draft is canonicalized."""
     qres = quotient(g)
     p, q = qres.partition, qres.graph
     reps = p.representatives
@@ -278,8 +290,7 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
 
     bad = non_clique_block(q, dec)
     if bad is not None:
-        cert = tuple(sorted(reps[v] for v in bad))
-        return RecognitionOutcome(False, None, cert)
+        return tuple(sorted(reps[v] for v in bad))
 
     comps = [sorted(c) for c in connected_components(q)]
     comp_of = [0] * q.n
@@ -300,11 +311,5 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
             leaf_of[v] = leaf
     if len(parts) > 1:
         _join(d, parts, k)
-    _blow_up(d, leaf_of, _member_names(p), k)
-    witness = _canonicalize(d.adj, d.names)
-
-    check = verify(witness, g, k)
-    if not check.ok:
-        raise AssertionError(f"internal error: witness failed verification "
-                             f"({check})")
-    return RecognitionOutcome(True, witness, None)
+    _blow_up(d, leaf_of, p.classes, k)
+    return d

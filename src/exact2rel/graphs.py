@@ -125,13 +125,11 @@ class TwinPartition:
 class QuotientResult:
     """Quotient graph together with the partition it contracts.
 
-    Quotient vertex ``i`` stands for class ``i`` of ``partition``;
-    ``vertex_to_new`` maps every original vertex to its quotient vertex.
+    Quotient vertex ``i`` stands for class ``i`` of ``partition``.
     """
 
     graph: Graph | OrientedGraph
     partition: TwinPartition
-    vertex_to_new: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -235,8 +233,13 @@ def false_twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(g.n, tuple(map(tuple, by_nbhd.values())))
 
 
-def _class_of(p: TwinPartition) -> dict[int, int]:
-    return {v: i for i, cls in enumerate(p.classes) for v in cls}
+def _contracted(p: TwinPartition, *adjs: tuple[frozenset[int], ...]
+                ) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Each of ``adjs`` with class ``i`` of ``p`` as vertex ``i``, adjacent
+    to the classes of its representative's neighbors."""
+    new = {v: i for i, cls in enumerate(p.classes) for v in cls}
+    return tuple(tuple(frozenset(map(new.__getitem__, adj[c[0]]))
+                       for c in p.classes) for adj in adjs)
 
 
 def quotient(g: Graph) -> QuotientResult:
@@ -245,12 +248,12 @@ def quotient(g: Graph) -> QuotientResult:
     Quotient vertex ``i`` is class ``i`` of ``false_twin_partition(g)``,
     adjacent to the classes its members are adjacent to.  That is
     well defined because a neighborhood is a union of whole classes.
+    When every class is a singleton, class ``i`` is vertex ``i`` and
+    the quotient is ``g`` itself.
     """
     p = false_twin_partition(g)
-    new = _class_of(p)
-    adj = tuple(frozenset(map(new.__getitem__, g.adj[c[0]]))
-                for c in p.classes)
-    return QuotientResult(Graph(adj), p, new)
+    return QuotientResult(g if len(p.classes) == g.n
+                          else Graph(*_contracted(p, g.adj)), p)
 
 
 def directed_twin_partition(d: OrientedGraph) -> TwinPartition:
@@ -263,13 +266,11 @@ def directed_twin_partition(d: OrientedGraph) -> TwinPartition:
 
 def directed_quotient(d: OrientedGraph) -> QuotientResult:
     """Contract each directed twin class of ``d`` to a single vertex,
-    numbered as in ``directed_twin_partition(d)``."""
+    numbered as in ``directed_twin_partition(d)``; ``d`` itself when
+    every class is a singleton."""
     p = directed_twin_partition(d)
-    new = _class_of(p)
-    reps = p.representatives
-    out_adj = tuple(frozenset(map(new.__getitem__, d.out_adj[r])) for r in reps)
-    in_adj = tuple(frozenset(map(new.__getitem__, d.in_adj[r])) for r in reps)
-    return QuotientResult(OrientedGraph(out_adj, in_adj), p, new)
+    return QuotientResult(d if len(p.classes) == d.n else OrientedGraph(
+        *_contracted(p, d.out_adj, d.in_adj)), p)
 
 
 # ======================================================================
@@ -441,7 +442,7 @@ def find_cycle(g: Graph) -> list[int] | None:
 # graphs, with each line read as an arc tail -> head.
 
 # The most vertices a header may declare: the readers allocate for each
-# one (an edgeless graph at the bound recognizes at a peak near 380 MB).
+# one (an edgeless graph at the bound recognizes at a peak near 300 MB).
 MAX_VERTICES = 200_000
 
 

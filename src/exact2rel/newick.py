@@ -195,7 +195,7 @@ def format_newick(t: LabeledTree) -> str:
     (anchor adjacent to the smallest-named leaf, children sorted).
     Raises ValueError on a leaf name that the reader rejects."""
     if t.nv > 2:
-        (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]
+        (anchor,) = t.adj[min(t.names, key=t.names.get)]
         return f"{subtree_text(t.adj, t.names, anchor)};"
     _check_names(t.names)
     if t.n_leaves == 1:

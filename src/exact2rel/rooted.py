@@ -229,7 +229,7 @@ def _construct(d: OrientedGraph, p: TwinPartition, q: OrientedGraph,
         for rc in roots:
             draft.link(root, rc, 3)
 
-    t = draft.rooted(root)
+    t = draft.tree(root)
     if not relation_matches(t, t.root, 2, d.out_adj, directed=True):
         raise AssertionError("internal error: constructed tree does not "
                              "reproduce the input relation")

@@ -28,14 +28,14 @@ class _Tree:
     """What both tree types share: the storage, the queries, and
     equality and hashing by one key, its canonical form, kept once built."""
 
-    __slots__ = ("nv", "adj", "names", "_name_to_vertex", "_form")
+    __slots__ = ("nv", "adj", "names", "_vertex", "_form")
 
     def __init__(self, nv: int, adj: tuple[dict[int, int], ...],
                  names: dict[int, str]):
         self.nv = nv
         self.adj = adj
         self.names = names
-        self._name_to_vertex = {s: v for v, s in names.items()}
+        self._vertex: dict[str, int] = {}  # name -> vertex, built on first use
         self._form: tuple = ()  # the key, built on first use
 
     @property
@@ -47,7 +47,8 @@ class _Tree:
         return len(self.names)
 
     def vertex_of(self, name: str) -> int:
-        return self._name_to_vertex[name]
+        self._vertex = self._vertex or {s: v for v, s in self.names.items()}
+        return self._vertex[name]
 
     def weighted_edges(self) -> list[tuple[int, int, int]]:
         return [(u, v, w) for u in range(self.nv)
@@ -209,14 +210,17 @@ def tree_layout(adj: tuple[dict[int, int], ...],
     """Pre-order, parent (-1 at the root) and weighted depth of the tree
     with adjacency ``adj`` hung from ``root``, from one explicit-stack
     walk.  Every subtree is a contiguous run of the pre-order, so its
-    reverse is a post-order."""
-    parent = [-1] * len(adj)
-    depth = [0] * len(adj)
+    reverse is a post-order.  A cycle in ``adj`` raises ValueError."""
+    n = len(adj)
+    parent = [-1] * n
+    depth = [0] * n
     order = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
+        if len(order) > n:
+            raise ValueError("the adjacency holds a cycle")
         for u, w in adj[v].items():
             if u != parent[v]:
                 parent[u] = v
@@ -308,27 +312,20 @@ def explain(t: LabeledTree, k: int) -> Graph:
                                        for x, y in relation_pairs(t, 0, k)])
 
 
-def scale(t: LabeledTree, c: int) -> LabeledTree:
-    """Multiply every edge weight by a positive integer ``c``."""
-    if not isinstance(c, int) or c < 1:
-        raise ValueError("scale factor must be a positive integer")
-    edges = [(u, v, w * c) for u, v, w in t.weighted_edges()]
-    return LabeledTree.build(t.nv, edges, t.names)
-
-
 # ======================================================================
 # Canonicalization, restriction and forgetting the root
 # ======================================================================
 
 def _compact(adj: dict[int, dict[int, int]], names: dict[int, str],
              root: int | None = None) -> LabeledTree | RootedLabeledTree:
-    """Rebuild a tree from a mutable adjacency, renumbering ids: a
-    LabeledTree, or a RootedLabeledTree hung from ``root`` if given."""
+    """Rebuild a tree from a mutable adjacency, renumbering ids, as its
+    edges stream into the build in id order, each vertex popped as read:
+    a LabeledTree, or a RootedLabeledTree hung from ``root`` if given."""
     verts = sorted(adj)
     new_id = {v: i for i, v in enumerate(verts)}
-    edges = [(new_id[u], new_id[v], w) for u, nbrs in adj.items()
-             for v, w in nbrs.items() if u < v]  # renumbering keeps order
     new_names = {new_id[v]: s for v, s in names.items() if v in new_id}
+    edges = ((new_id[u], new_id[v], w) for u in verts
+             for v, w in adj.pop(u).items() if u < v)  # ids keep their order
     if root is None:
         return LabeledTree.build(len(verts), edges, new_names)
     return RootedLabeledTree.build(len(verts), edges, new_names, root=new_id[root])
@@ -336,7 +333,7 @@ def _compact(adj: dict[int, dict[int, int]], names: dict[int, str],
 
 class _Draft:
     """A tree under construction: weighted adjacency, leaf names and
-    fresh ids in increasing order; ``tree`` or ``rooted`` builds it."""
+    fresh ids in increasing order; ``tree`` builds it, consuming it."""
 
     __slots__ = ("adj", "names", "nv")
 
@@ -364,10 +361,7 @@ class _Draft:
             self.link(ids[u], ids[v], w)
         return ids
 
-    def tree(self) -> LabeledTree:
-        return _compact(self.adj, self.names)
-
-    def rooted(self, root: int) -> RootedLabeledTree:
+    def tree(self, root: int | None = None) -> LabeledTree | RootedLabeledTree:
         return _compact(self.adj, self.names, root)
 
 
@@ -542,7 +536,7 @@ def canonical_form(t: LabeledTree) -> tuple:
     if t.nv == 2:
         a, b = t.leaf_names
         return ("E", a, b, t.adj[0][1], "")
-    (anchor,) = t.adj[t.vertex_of(t.leaf_names[0])]  # an interior vertex
+    (anchor,) = t.adj[min(t.names, key=t.names.get)]  # an interior vertex
     return _flat_key("T", t, anchor)
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import (all_labeled_graphs, random_block_graph,
                       random_false_twin_blowup, random_graph, random_tree,
                       reference_verify)
+from exact2rel import construct
+from exact2rel.graphs import collector_paused
 from exact2rel import (EnumerationBudget, Graph, LabeledTree, OrientedGraph,
                        VerificationResult, block_decomposition, blow_up,
                        canonicalize,
@@ -325,3 +328,49 @@ def test_recognize_decomposes_and_builds_once(monkeypatch):
         calls.update(blocks=0, build=0)
         assert not recognize(g).decision
         assert calls == {"blocks": 1, "build": 0}
+
+
+# ``recognize`` on P_5000, in MB above what was traced before the call:
+# a peak of 5.9 and 3.07 retained by the outcome, as measured; keeping
+# the draft whole, copying the quotient and keeping the blocks alive
+# while the witness is built measures 12.1 and 3.3
+PATH_PEAK_MB = 6.5
+PATH_RETAINED_MB = 3.2
+
+
+def traced_recognize(g):
+    """``recognize(g)``'s peak and retained size in MB, as traced."""
+    with collector_paused():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = recognize(g)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert outcome.decision
+    return (peak - before) / 2**20, (now - before) / 2**20
+
+
+def within_the_memory_bounds(g):
+    peak, retained = traced_recognize(g)
+    return peak <= PATH_PEAK_MB and retained <= PATH_RETAINED_MB
+
+
+def test_recognize_holds_each_structure_once(monkeypatch):
+    """The draft streams into the witness and is gone as it is built,
+    the path is its own quotient, and the blocks are freed before the
+    draft is canonicalized.  Negative controls: keeping the draft's
+    dicts or the block decomposition alive fails the bounds."""
+    g = P(5000, [(v, v + 1) for v in range(4999)])
+    assert within_the_memory_bounds(g)
+    kept = []
+    canonicalize_draft = construct._canonicalize
+    monkeypatch.setattr(construct, "_canonicalize", lambda adj, names: (
+        kept.append(list(adj.values())), canonicalize_draft(adj, names))[1])
+    assert not within_the_memory_bounds(g)
+    monkeypatch.undo()
+    kept.clear()
+    monkeypatch.setattr(construct, "block_decomposition", lambda q: (
+        kept.append(block_decomposition(q)), kept[-1])[1])
+    assert not within_the_memory_bounds(g)

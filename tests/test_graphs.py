@@ -116,11 +116,16 @@ def test_quotients_carry_their_twin_partition():
             assert directed_quotient(d).partition == directed_twin_partition(d)
 
 
+def class_map(p):
+    """Each vertex's class index in the twin partition ``p``."""
+    return {v: i for i, cls in enumerate(p.classes) for v in cls}
+
+
 def test_quotient_identity_on_twin_free():
     p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     res = quotient(p4)
-    assert res.graph == p4
-    assert res.vertex_to_new == {v: v for v in range(4)}
+    assert res.graph is p4
+    assert class_map(res.partition) == {v: v for v in range(4)}
 
 
 def test_directed_twins():
@@ -129,7 +134,7 @@ def test_directed_twins():
     assert p.classes == ((0, 1), (2, 3))
     res = directed_quotient(d)
     assert set(res.graph.arcs) == {(0, 1)}
-    assert res.vertex_to_new == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert class_map(res.partition) == {0: 0, 1: 0, 2: 1, 3: 1}
     # opposite arcs distinguish vertices that undirected twins would merge
     d2 = from_arc_list(3, [(0, 2), (2, 1)])
     assert directed_twin_partition(d2).is_discrete
@@ -309,7 +314,9 @@ def _check_undirected(n, pairs, keeps):
     res = quotient(g)
     ref_q, ref_map = reference_quotient(ref, p)
     assert_same_graph(res.graph, ref_q)
-    assert res.vertex_to_new == ref_map
+    assert class_map(res.partition) == ref_map
+    # a twin-free graph is its own quotient, and only a twin-free one
+    assert (res.graph is g) == p.is_discrete
     for keep in keeps:
         assert_same_graph(induced_subgraph(g, keep),
                           reference_induced_subgraph(ref, keep))
@@ -323,7 +330,8 @@ def _check_oriented(n, pairs):
     res = directed_quotient(d)
     ref_q, ref_map = reference_directed_quotient(ref, p)
     assert_same_oriented(res.graph, ref_q)
-    assert res.vertex_to_new == ref_map
+    assert class_map(res.partition) == ref_map
+    assert (res.graph is d) == p.is_discrete
     assert_same_graph(underlying_graph(d), reference_underlying_graph(ref))
 
 

@@ -1,5 +1,10 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,12 +19,13 @@ from conftest import (adjacency, all_labeled_oriented, ancestors,
                       up_weight)
 from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize, construct_oriented, directed_explain,
                        directed_relation_pairs, directed_twin_partition,
-                       enumerate_rooted, enumerate_topologies,
+                       enumerate_rooted, enumerate_topologies, format_newick,
                        format_rooted_newick, from_arc_list,
                        is_canonical_rooted, is_zero_discrete, parse_newick,
                        parse_oriented, parse_rooted_newick, recognize_oriented,
                        underlying_tree)
 from exact2rel.oracle import unlabeled_shapes
+from exact2rel import rooted
 from exact2rel.trees import relation_matches
 
 
@@ -105,6 +111,81 @@ def test_enumerate_rooted_streams_and_checks_at_the_call():
         enumerate_rooted(parse_newick("a;"))
     with pytest.raises(ValueError, match="canonical"):
         enumerate_rooted(parse_newick("((a:1,b:1):0,c:1,d:1);"))
+
+
+def test_rootings_build_no_name_map():
+    """No rooting builds the name -> vertex map (``exact2rel roots``
+    never reads it); writing and hashing a tree build none either, and
+    ``vertex_of`` still answers afterwards."""
+    t = canonicalize(random_tree(random.Random(46), 40))
+    format_newick(t), hash(t)
+    assert t._vertex == {}
+    for r in enumerate_rooted(t):
+        format_rooted_newick(r), hash(r)
+        assert r._vertex == {}
+        assert all(r.names[r.vertex_of(s)] == s for s in r.leaf_names)
+    assert [t.vertex_of(s) for s in t.leaf_names] == sorted(
+        t.names, key=t.names.get)
+
+
+CYCLIC_WALKS = """
+from exact2rel import (RootedLabeledTree, enumerate_rooted,
+                       format_rooted_newick, parse_newick, rooted)
+from exact2rel.trees import relation_pairs
+
+
+def every_walk_stops(t):
+    for walk in (lambda: relation_pairs(t, t.root, 2),
+                 lambda: format_rooted_newick(t), lambda: hash(t)):
+        try:
+            walk()
+        except ValueError as exc:
+            assert "cycle" in str(exc), exc
+        else:
+            raise SystemExit("a walk ended on storage with a cycle")
+
+
+# the triangle 0-1-2 under the root 0, hung without validation
+adj = ({1: 1, 2: 1}, {0: 1, 2: 1, 3: 1}, {0: 1, 1: 1, 4: 1}, {1: 1}, {2: 1})
+every_walk_stops(RootedLabeledTree._hung(5, adj, {3: "a", 4: "b"}, 0))
+
+# a mutant edge split: the rooting keeps the edge it splits
+real = rooted._split
+
+
+def keeps_the_old_edge(t, u, v, m, j):
+    r = real(t, u, v, m, j)
+    r.adj[u][v] = r.adj[v][u] = m
+    return r
+
+
+rooted._split = keeps_the_old_edge
+t = parse_newick("((a:1,b:2):1,c:1,(d:3,e:1):2);")
+splits = [r for r in enumerate_rooted(t) if r.nv > t.nv]
+assert len(splits) == 9
+for r in splits:
+    every_walk_stops(r)
+"""
+
+# the child's address space: a walk that never stops runs out here
+CYCLIC_WALKS_ADDRESS_SPACE = 2**30
+
+
+def test_walks_stop_on_storage_with_a_cycle():
+    """Trees hung without validation whose storage holds a cycle, the
+    triangle and each rooting of a mutant edge split that keeps the old
+    edge: ``relation_pairs``, ``format_rooted_newick`` and ``hash`` end
+    in ValueError.  A walk that never stopped would grow without bound,
+    so this runs in a child process with a capped address space."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CYCLIC_WALKS_ADDRESS_SPACE,
+                                                CYCLIC_WALKS_ADDRESS_SPACE))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(rooted.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", CYCLIC_WALKS], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=cap)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_enumerate_rooted_zero_leaf_edges():

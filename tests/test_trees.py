@@ -18,7 +18,8 @@ from exact2rel import (LabeledTree, RootedLabeledTree, canonicalize,
                        enumerate_rooted, enumerate_topologies, explain,
                        format_newick, is_canonical, is_zero_discrete,
                        leaf_distance_matrix, newick, parse_newick, restrict,
-                       rooted, scale, trees, underlying_tree)
+                       rooted, trees, underlying_tree)
+from exact2rel import construct, graphs
 from exact2rel.oracle import unlabeled_shapes
 from exact2rel.trees import (canonical_form, rooted_canonical_form,
                              tree_layout)
@@ -155,13 +156,6 @@ def test_restrict_to_single_leaf():
     r = restrict(t, ["c"])
     assert r.nv == 1
     assert r.leaf_names == ["c"]
-
-
-def test_scale():
-    t = caterpillar_p4()
-    s = scale(t, 3)
-    assert leaf_distance_matrix(s).get("a", "d") == 18
-    assert explain(s, 6) == explain(t, 2)
 
 
 def test_zero_discrete():
@@ -368,7 +362,7 @@ def test_leaf_distances_match_restriction():
                 assert dm.get(a, b) == want
 
 
-@pytest.mark.parametrize("module", [newick, trees, rooted])
+@pytest.mark.parametrize("module", [newick, trees, rooted, graphs, construct])
 def test_tree_walks_do_not_recurse(module):
     for node in ast.walk(ast.parse(inspect.getsource(module))):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
