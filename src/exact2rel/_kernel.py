@@ -1,17 +1,22 @@
 """Enumeration kernels for the oracle.
 
 These cover every weight assignment of a fixed tree shape and record
-which leaf relations arise.  The two undirected kernels take the edges
-in an order that completes leaf-pair paths early, so they merge or cut
-partial assignments instead of visiting each one; the rooted kernel
-merges the states of subtrees, shared by every root placement.  Shapes
-are preprocessed by the caller into flat index lists: edges are
-numbered, and every quantity a kernel needs is a list of edge indices.
+which leaf relations arise.  The two mask kernels merge the states of
+subtrees, leaf depths kept as level masks: the undirected one on the
+shape hung from leaf 0, the rooted one on every root placement, which
+share the subtrees below.  The weighting search takes the edges in an
+order that completes leaf-pair paths early (``_plan``), so it cuts
+partial assignments instead of visiting each one.  Shapes are
+preprocessed by the caller into flat index lists: edges are numbered,
+and every quantity a kernel needs is a list of edge indices.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
+from itertools import combinations
+from math import isqrt
+from operator import or_
 
 USING_COMPILED = False  # kept for benchmark reports: no compiled kernel exists
 
@@ -22,7 +27,8 @@ def _plan(paths: tuple[tuple[int, ...], ...], n_edges: int) -> tuple[
     """An edge order that completes leaf-pair paths early: each next edge
     leaves the fewest pairs open (started, not complete), lowest index
     first.  Per position: (pair through the edge, path complete there?).
-    Computed once per shape: every kernel call on it shares the plan."""
+    Computed once per shape for ``_bounds``, which the weighting search
+    reads."""
     through: list[list[int]] = [[] for _ in range(n_edges)]
     for p, path in enumerate(paths):
         for e in path:
@@ -44,14 +50,79 @@ def _plan(paths: tuple[tuple[int, ...], ...], n_edges: int) -> tuple[
     return tuple(order), tuple(steps)
 
 
+@cache
+def _hang(paths: tuple[tuple[int, ...], ...]) -> tuple[
+        int, tuple[tuple[int, int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """The shape hung from leaf 0, read off the paths of the pairs
+    (0, j), which walk from leaf 0 down to leaf j: the leaf count; per
+    edge, children first, (edge, bit of the leaf at its lower end or 0,
+    the edges below that end); and the edges below leaf 0."""
+    n = (1 + isqrt(1 + 8 * len(paths))) // 2
+    below: dict[int, list[int]] = {}
+    depth: dict[int, int] = {}
+    leaf_at: dict[int, int] = {}
+    top: list[int] = []
+    for j, path in enumerate(paths[:n - 1], 1):
+        for d, (e, f) in enumerate(zip(path, path[1:] + (-1,))):
+            depth[e] = d
+            kids = below.setdefault(e, [])
+            if f >= 0 and f not in kids:
+                kids.append(f)
+        leaf_at[path[-1]] = 1 << j
+        if path[0] not in top:
+            top.append(path[0])
+    order = sorted(below, key=depth.__getitem__, reverse=True)
+    return n, tuple((e, leaf_at.get(e, 0), tuple(below[e]))
+                    for e in order), tuple(top)
+
+
+@cache
+def _cross_pairs(n: int) -> list[list[int]]:
+    """``table[z][y]``: the mask of the pairs {a, b}, a in leaf set ``z``
+    and b in the disjoint leaf set ``y``, pairs numbered in
+    ``combinations(range(n), 2)`` order.  Each row is built from the one
+    without its lowest leaf."""
+    bit = [[0] * n for _ in range(n)]
+    for p, (a, b) in enumerate(combinations(range(n), 2)):
+        bit[a][b] = bit[b][a] = 1 << p
+    size = 1 << n
+    single = []  # single[a][y]: the pairs between leaf a and leaf set y
+    for a in range(n):
+        row = [0]
+        for y in range(1, size):
+            low = y & -y
+            row.append(row[y ^ low] | bit[a][low.bit_length() - 1])
+        single.append(row)
+    table = [[0] * size]
+    for z in range(1, size):
+        low = z & -z
+        table.append(list(map(or_, table[z ^ low],
+                              single[low.bit_length() - 1])))
+    return table
+
+
+def _shift(states: set, lo: int, hi: int, n: int, keep: int) -> set:
+    """``states`` seen across an edge of weight ``lo`` .. ``hi``: the
+    level masks, ``n`` bits apart, move ``w`` levels deeper and the
+    levels beyond ``keep`` drop out."""
+    return {(m, z << w * n & keep) for w in range(lo, hi + 1) for m, z in states}
+
+
 def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
                              min_w: list[int], max_w: int, k: int,
                              zero_discrete: bool) -> set[int]:
     """All achievable relation bitmasks for one tree shape.
 
-    A dynamic program over the edges in ``_plan`` order.  A state is the
-    mask of the complete pairs plus each open pair's partial path weight
-    capped at ``k + 1``; equal states are merged after each edge.
+    A dynamic program over subtrees, the shape hung from leaf 0
+    (``_hang``), so ``paths[j - 1]`` must walk from leaf 0 to leaf j, as
+    ``oracle._prepare`` lists them.  A state is a pair mask and the
+    level masks z_0 .. z_k packed ``n`` bits apart, z_d holding the
+    leaves at depth d below the subtree's top; deeper leaves meet no
+    later leaf at weight exactly ``k`` and drop out.  Where subtrees
+    meet, the levels are ORed and the pairs between z_d of one side and
+    z_(k-d) of the other are added (``_cross_pairs``); under
+    ``zero_discrete`` a state with a leaf at depth 0 on both sides is
+    dropped.
 
     Args:
         n_pairs: number of leaf pairs; bit ``p`` of a mask says pair
@@ -63,34 +134,39 @@ def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
         k: relation level.
         zero_discrete: skip weightings placing two leaves at weight 0.
     """
-    order, steps = _plan(tuple(map(tuple, paths)), len(min_w))
-    cap = k + 1
-    opened: list[int] = []  # the open pairs, in state order
-    states = {(0,)}  # (mask, partial weight of each open pair, ...)
-    for e, step in zip(order, steps):
-        pos = {p: i for i, p in enumerate(opened, 1)}
-        closing = [(pos.get(p, 0), 1 << p) for p, closes in step if closes]
-        same = [pos[p] for p in opened if p not in dict(step)]
-        grown = [pos[p] for p, closes in step if not closes and p in pos]
-        fresh = [p for p, closes in step if not closes and p not in pos]
-        opened = [opened[i - 1] for i in same + grown] + fresh
-        nxt = set()
-        for state in states:
-            kept = tuple(state[i] for i in same)
-            for w in range(min_w[e], max_w + 1):
-                mask = state[0]
-                for i, bit in closing:
-                    d = w + state[i] if i else w
-                    if d == k:
-                        mask |= bit
-                    elif d == 0 and zero_discrete:
-                        break
-                else:
-                    nxt.add((mask, *kept,
-                             *[min(state[i] + w, cap) for i in grown],
-                             *[min(w, cap)] * len(fresh)))
-        states = nxt
-    return {state[0] for state in states}
+    n, edges, top = _hang(tuple(map(tuple, paths)))
+    cross = _cross_pairs(n)
+    full, keep = (1 << n) - 1, (1 << (k + 1) * n) - 1
+    levels = [d * n for d in range(k + 1)]
+
+    def merge(a: set, b: set) -> set:
+        # masks grouped by levels; per level mask of b, z_k .. z_0
+        by_a: dict[int, list[int]] = {}
+        by_b: dict[int, list[int]] = {}
+        for m, z in a:
+            by_a.setdefault(z, []).append(m)
+        for m, z in b:
+            by_b.setdefault(z, []).append(m)
+        ends = [(zb, zb & full, [zb >> s & full for s in reversed(levels)], mb)
+                for zb, mb in by_b.items()]
+        out = set()
+        for za, ma in by_a.items():
+            rows = [cross[za >> s & full] for s in levels]
+            for zb, b0, cols, mb in ends:
+                if zero_discrete and b0 and za & full:
+                    continue
+                x = sum(map(list.__getitem__, rows, cols))
+                z = za | zb
+                out.update([(p | q | x, z) for p in ma for q in mb])
+        return out
+
+    below: dict[int, set] = {}  # per edge: its subtree's states, weight in
+    for e, leaf, kids in edges:
+        parts = [below.pop(c) for c in kids]
+        if leaf:
+            parts.append({(0, leaf)})
+        below[e] = _shift(reduce(merge, parts), min_w[e], max_w, n, keep)
+    return {m for m, _ in reduce(merge, [below[e] for e in top], {(0, 1)})}
 
 
 @cache
@@ -208,10 +284,6 @@ def enumerate_rooted_arc_masks(
                 out[near[x][-1]] = out.get(near[x][-1], 0) | 1 << x
         return sorted(out.items())
 
-    def shift(states: set, lo: int, hi: int) -> set:
-        return {(m, z << w * n & keep)
-                for w in range(lo, hi + 1) for m, z in states}
-
     def merge(a: set, b: set) -> set:
         # per state: mask, rows of the depth-0 leaves, depth-k leaves, levels
         ends = [[(m, rows[z & full], z >> kn, z) for m, z in states]
@@ -237,7 +309,8 @@ def enumerate_rooted_arc_masks(
             missing = [b for b in branches(below, side) if b not in memo]
             stack += missing
             if not missing:
-                memo[stack.pop()] = shift(join(below, side), min_w[e], max_w)
+                memo[stack.pop()] = _shift(join(below, side), min_w[e],
+                                           max_w, n, keep)
         return join(near, leaves)
 
     masks = {m for rts in interior_roots for m, _ in top(rts, full)}
@@ -245,10 +318,11 @@ def enumerate_rooted_arc_masks(
         u_side = sum(side[x] << x for x in range(n))
         u, v, lo = top(near, u_side), top(near, full ^ u_side), min_w[e]
         if u_leaf:  # a = 0 (and w > 0 unless v is a leaf too)
-            root = merge(u, shift(v, lo if v_leaf else max(lo, 1), max_w))
+            root = merge(u, _shift(v, lo if v_leaf else max(lo, 1), max_w,
+                                   n, keep))
             masks.update(m for m, _ in root)
         if v_leaf:  # a = w > 0
-            root = merge(shift(u, max(lo, 1), max_w), v)
+            root = merge(_shift(u, max(lo, 1), max_w, n, keep), v)
             masks.update(m for m, _ in root)
         if max_w >= 2:  # 0 < a < w: no leaf at depth 0, no arc added
             m_u, m_v = {m for m, _ in u}, {m for m, _ in v}

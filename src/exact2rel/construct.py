@@ -272,6 +272,7 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
     if isinstance(draft, tuple):
         return RecognitionOutcome(False, None, draft)
     witness = _canonicalize(draft.adj, draft.names)
+    del draft  # consumed: its emptied tables go before the self-check
 
     check = verify(witness, g, k)
     if not check.ok:
@@ -281,8 +282,9 @@ def recognize(g: Graph, k: int = 2) -> RecognitionOutcome:
 
 
 def _draft(g: Graph, k: int) -> _Draft | tuple[int, ...]:
-    """``recognize``'s draft witness, or its certificate; the quotient and
-    its blocks are freed before the draft is canonicalized."""
+    """``recognize``'s draft witness, or its certificate.  The blocks are
+    freed once their stars are laid, the quotient on return, so neither
+    lives while the draft is canonicalized."""
     qres = quotient(g)
     p, q = qres.partition, qres.graph
     reps = p.representatives
@@ -309,6 +311,7 @@ def _draft(g: Graph, k: int) -> _Draft | tuple[int, ...]:
         parts.append(made)
         for v, leaf in zip(vs, leaves):
             leaf_of[v] = leaf
+    del dec, blocks_of, blocks  # laid: the draft holds the block stars
     if len(parts) > 1:
         _join(d, parts, k)
     _blow_up(d, leaf_of, p.classes, k)

@@ -7,7 +7,8 @@ root placement, recording which graphs arise.  It deliberately shares no
 code with the recognition pipeline: graphs are handled as bitmasks over
 vertex pairs, the kernels in ``_kernel`` sum weights over flat edge-index
 lists, and isomorphism reduction is a minimum over all vertex
-permutations, taken once per orbit; as it closes over relabelings, the
+permutations, taken once per orbit and read from per-permutation
+tables (``_columns``); as it closes over relabelings, the
 explainable sets call their kernel once per unlabeled shape.  What a
 kernel needs of a shape is prepared once per process, per leaf count:
 the unlabeled shapes for the explainable sets, the labeled topologies
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter, or_
+from typing import Iterable, NamedTuple
 
 from ._kernel import (enumerate_relation_masks, enumerate_rooted_arc_masks,
                       matching_weightings)
@@ -229,17 +230,16 @@ def _labeled(n: int) -> tuple[_Labeled, ...]:
 # Isomorphism-class bookkeeping via bitmasks
 # ======================================================================
 
-@cache
-def _pair_maps(n: int) -> tuple[tuple[int, ...], ...]:
+def _pair_maps(n: int) -> list[tuple[int, ...]]:
+    """Per permutation of ``range(n)``, the pair each pair goes to."""
     pairs = list(combinations(range(n), 2))
     index = {pr: i for i, pr in enumerate(pairs)}
-    return tuple(tuple(index[tuple(sorted((perm[a], perm[b])))]
-                       for a, b in pairs)
-                 for perm in permutations(range(n)))
+    return [tuple(index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
+            for perm in permutations(range(n))]
 
 
-@cache
-def _arc_maps(n: int) -> tuple[tuple[int, ...], ...]:
+def _arc_maps(n: int) -> list[tuple[int, ...]]:
+    """Per permutation of ``range(n)``, the arc bit each arc bit goes to."""
     maps = []
     for perm in permutations(range(n)):
         remap = [0] * (n * n)
@@ -248,7 +248,37 @@ def _arc_maps(n: int) -> tuple[tuple[int, ...], ...]:
                 if x != y:
                     remap[x * n + y] = perm[x] * n + perm[y]
         maps.append(tuple(remap))
-    return tuple(maps)
+    return maps
+
+
+def _columns(remaps: list[tuple[int, ...]], bits: int) -> tuple:
+    """Per 4-bit chunk of a ``bits``-bit mask, per value of the chunk: its
+    image under every remap, in order.  Each entry is the one without its
+    lowest set bit ORed with that bit's images."""
+    columns = []
+    for c in range(0, max(bits, 1), 4):
+        col = [(0,) * len(remaps)]
+        for v in range(1, 1 << min(4, bits - c)):
+            low = v & -v
+            if v == low:
+                p = c + low.bit_length() - 1
+                col.append(tuple(1 << remap[p] for remap in remaps))
+            else:
+                col.append(tuple(map(or_, col[v ^ low], col[low])))
+        columns.append(tuple(col))
+    return tuple(columns)
+
+
+@cache
+def _pair_columns(n: int) -> tuple:
+    """``_columns`` of the pair masks on ``n`` vertices."""
+    return _columns(_pair_maps(n), n * (n - 1) // 2)
+
+
+@cache
+def _arc_columns(n: int) -> tuple:
+    """``_columns`` of the arc masks on ``n`` vertices."""
+    return _columns(_arc_maps(n), n * n)
 
 
 def graph_to_mask(g: Graph) -> int:
@@ -265,23 +295,22 @@ def mask_to_graph(n: int, mask: int) -> Graph:
     return from_edge_list(n, edges)
 
 
-def _images(mask: int, remaps: tuple[tuple[int, ...], ...]) -> Iterator[int]:
-    """The image of ``mask`` under each bit remap, in order."""
-    for remap in remaps:
-        x = 0
-        m = mask
-        p = 0
-        while m:
-            if m & 1:
-                x |= 1 << remap[p]
-            m >>= 1
-            p += 1
-        yield x
+def _images(mask: int, columns: tuple) -> Iterable[int]:
+    """The image of ``mask`` under each permutation of ``columns``, in
+    order: one column read per nonzero 4-bit chunk, ORed across chunks."""
+    images = columns[0][mask & 15]
+    for col in columns[1:]:
+        mask >>= 4
+        if not mask:
+            break
+        if mask & 15:
+            images = map(or_, images, col[mask & 15])
+    return images
 
 
 def canonical_mask_of(mask: int, n: int) -> int:
     """Smallest pair-mask over all vertex relabelings."""
-    return min(_images(mask, _pair_maps(n)))
+    return min(_images(mask, _pair_columns(n)))
 
 
 def canonical_mask(g: Graph) -> int:
@@ -302,22 +331,21 @@ def mask_to_oriented(n: int, mask: int) -> OrientedGraph:
 
 
 def canonical_arc_mask_of(mask: int, n: int) -> int:
-    return min(_images(mask, _arc_maps(n)))
+    return min(_images(mask, _arc_columns(n)))
 
 
 def canonical_arc_mask(d: OrientedGraph) -> int:
     return canonical_arc_mask_of(oriented_to_mask(d), d.n)
 
 
-def _orbit_minima(masks: Iterable[int],
-                  remaps: tuple[tuple[int, ...], ...]) -> set[int]:
+def _orbit_minima(masks: Iterable[int], columns: tuple) -> set[int]:
     """The smallest image of every orbit that ``masks`` meets: each orbit
     is generated once, at its first mask, and marked seen as a whole."""
     seen: set[int] = set()
     out = set()
     for mask in masks:
         if mask not in seen:
-            orbit = set(_images(mask, remaps))
+            orbit = set(_images(mask, columns))
             seen |= orbit
             out.add(min(orbit))
     return out
@@ -327,7 +355,7 @@ def _orbit_minima(masks: Iterable[int],
 def all_graph_classes(n: int) -> tuple[int, ...]:
     """Canonical masks of all isomorphism classes of graphs on n vertices."""
     return tuple(sorted(_orbit_minima(range(1 << n * (n - 1) // 2),
-                                      _pair_maps(n))))
+                                      _pair_columns(n))))
 
 
 @cache
@@ -336,7 +364,7 @@ def all_oriented_classes(n: int) -> tuple[int, ...]:
     choices = [(0, 1 << (u * n + v), 1 << (v * n + u))
                for u, v in combinations(range(n), 2)]
     return tuple(sorted(_orbit_minima(map(sum, product(*choices)),
-                                      _arc_maps(n))))
+                                      _arc_columns(n))))
 
 
 # ======================================================================
@@ -385,7 +413,7 @@ def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
             acc |= enumerate_relation_masks(
                 len(shape.paths), shape.paths, min_w, W, k,
                 budget.zero_discrete_only)
-        out[n] = frozenset(_orbit_minima(acc, _pair_maps(n)))
+        out[n] = frozenset(_orbit_minima(acc, _pair_columns(n)))
     return ExplainableSet(k, budget, out)
 
 
@@ -434,7 +462,7 @@ def rooted_explainable_set(budget: EnumerationBudget,
                 n, [], shape.paths, min_w, W, k,
                 budget.zero_discrete_only, shape.interior_roots,
                 shape.edge_roots)
-        out[n] = frozenset(_orbit_minima(acc, _arc_maps(n)))
+        out[n] = frozenset(_orbit_minima(acc, _arc_columns(n)))
     return RootedExplainableSet(k, budget, out)
 
 

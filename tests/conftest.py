@@ -21,8 +21,8 @@ from exact2rel._kernel import (_plan, enumerate_relation_masks,
                                enumerate_rooted_arc_masks)
 from exact2rel.graphs import collector_paused
 from exact2rel.newick import _Parser
-from exact2rel.oracle import (LETTERS, _arc_maps, _orbit_minima, _pair_maps,
-                              _prepare, graph_to_mask)
+from exact2rel.oracle import (LETTERS, _arc_columns, _orbit_minima,
+                              _pair_columns, _prepare, graph_to_mask)
 from exact2rel.trees import _compact
 
 
@@ -486,9 +486,58 @@ def reference_configurations(n_pairs, paths, min_w_canonical, min_w_free,
             yield min_w, zero_discrete, by_mask
 
 
-# The undirected search and the rooted kernel as they were before their
-# bounds were cached and their states became level masks: kept as the
+# The three kernels as they were before the search's bounds were cached
+# and the mask kernels' states became level masks: kept as the
 # references the rewritten kernels must equal.
+
+def previous_relation_masks(n_pairs: int, paths: list[list[int]],
+                            min_w: list[int], max_w: int, k: int,
+                            zero_discrete: bool) -> set[int]:
+    """All achievable relation bitmasks for one tree shape.
+
+    A dynamic program over the edges in ``_plan`` order.  A state is the
+    mask of the complete pairs plus each open pair's partial path weight
+    capped at ``k + 1``; equal states are merged after each edge.
+
+    Args:
+        n_pairs: number of leaf pairs; bit ``p`` of a mask says pair
+            ``p`` is related (path weight exactly ``k``).
+        paths: per pair, the edge indices on its path.
+        min_w: per edge, the smallest allowed weight (1 on interior
+            edges when only canonical trees are wanted, else 0).
+        max_w: largest allowed weight, shared by all edges.
+        k: relation level.
+        zero_discrete: skip weightings placing two leaves at weight 0.
+    """
+    order, steps = _plan(tuple(map(tuple, paths)), len(min_w))
+    cap = k + 1
+    opened: list[int] = []  # the open pairs, in state order
+    states = {(0,)}  # (mask, partial weight of each open pair, ...)
+    for e, step in zip(order, steps):
+        pos = {p: i for i, p in enumerate(opened, 1)}
+        closing = [(pos.get(p, 0), 1 << p) for p, closes in step if closes]
+        same = [pos[p] for p in opened if p not in dict(step)]
+        grown = [pos[p] for p, closes in step if not closes and p in pos]
+        fresh = [p for p, closes in step if not closes and p not in pos]
+        opened = [opened[i - 1] for i in same + grown] + fresh
+        nxt = set()
+        for state in states:
+            kept = tuple(state[i] for i in same)
+            for w in range(min_w[e], max_w + 1):
+                mask = state[0]
+                for i, bit in closing:
+                    d = w + state[i] if i else w
+                    if d == k:
+                        mask |= bit
+                    elif d == 0 and zero_discrete:
+                        break
+                else:
+                    nxt.add((mask, *kept,
+                             *[min(state[i] + w, cap) for i in grown],
+                             *[min(w, cap)] * len(fresh)))
+        states = nxt
+    return {state[0] for state in states}
+
 
 def previous_matching_weightings(n_pairs: int, paths: list[list[int]],
                                  min_w: list[int], max_w: int, k: int,
@@ -709,6 +758,21 @@ def reference_rooted_arc_masks(n_leaves, pair_index, paths, min_w_canonical,
         w[e] += 1
 
 
+def reference_images(mask, remaps):
+    """The image of ``mask`` under each bit remap, in order, one bit at a
+    time: the loop the oracle's column tables replaced."""
+    for remap in remaps:
+        x = 0
+        m = mask
+        p = 0
+        while m:
+            if m & 1:
+                x |= 1 << remap[p]
+            m >>= 1
+            p += 1
+        yield x
+
+
 def reference_explainable_masks(budget, k, rooted=False):
     """``explainable_set(budget, k).masks`` (``rooted_explainable_set``
     when ``rooted``) from one kernel call per labeled topology, not one
@@ -730,8 +794,8 @@ def reference_explainable_masks(budget, k, rooted=False):
                 acc |= enumerate_relation_masks(
                     len(sh.paths), sh.paths, min_w, W, k,
                     budget.zero_discrete_only)
-        remaps = _arc_maps(n) if rooted else _pair_maps(n)
-        out[n] = frozenset(_orbit_minima(acc, remaps))
+        columns = _arc_columns(n) if rooted else _pair_columns(n)
+        out[n] = frozenset(_orbit_minima(acc, columns))
     return out
 
 

@@ -9,10 +9,11 @@ free weights; the canonical and zero-discrete configurations are
 filters of that walk, which keep its order.  The odometer references in
 ``conftest`` visit every weighting (and every root placement); the
 pruned kernels must return exactly what they return, lists in the same
-order.  Where the odometers are too slow (six leaves for the rooted
-kernel, every labeled 5-leaf topology for the search), the kernels
+order.  Where the odometers are too slow (six leaves for the mask
+kernels, every labeled 5-leaf topology for the search), the kernels
 must equal the ones their rewrite replaced, kept in ``conftest`` as
-``previous_rooted_arc_masks`` and ``previous_matching_weightings``.
+``previous_relation_masks``, ``previous_rooted_arc_masks`` and
+``previous_matching_weightings``.
 """
 
 from itertools import product
@@ -20,7 +21,7 @@ from itertools import product
 import pytest
 
 from conftest import (_tree_with_weights, pair_index_of,
-                      previous_matching_weightings,
+                      previous_matching_weightings, previous_relation_masks,
                       previous_rooted_arc_masks, reference_configurations,
                       reference_matching_weightings,
                       reference_rooted_arc_masks)
@@ -226,3 +227,17 @@ def test_matching_weightings_equals_the_previous_search():
             for target in sorted(targets):
                 assert (matching_weightings(*args, target)
                         == previous_matching_weightings(*args, target))
+
+
+def test_relation_kernel_equals_the_previous_kernel_at_six_leaves():
+    """The unlabeled 6-leaf shapes at k = 1, 2, 3 with cap k + 1 and at
+    k = 2 with caps 2 and 4, in every configuration: the subtree kernel
+    returns the set of the frontier kernel it replaced."""
+    for topo in unlabeled_shapes(6):
+        sh = _prepare(topo)
+        for k, max_w in ((1, 2), (2, 3), (3, 4), (2, 2), (2, 4)):
+            for min_w, zero_discrete in configurations_of(sh):
+                args = (len(sh.paths), sh.paths, min_w, max_w, k,
+                        zero_discrete)
+                assert (enumerate_relation_masks(*args)
+                        == previous_relation_masks(*args))

@@ -8,6 +8,10 @@ class in ``exact2rel``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import exact2rel
@@ -142,3 +146,44 @@ def fast_path():
                                        (9, "collector_paused"),
                                        (13, "fast_path"),
                                        (14, "fast_path")]
+
+
+# every functools.cache in the two oracle modules, with its size, read in
+# a fresh interpreter right after import and again after one canonical
+# mask (which must fill ``_pair_columns``, so the probe can see a fill)
+CACHE_SIZES = """
+import json
+import exact2rel
+import exact2rel.cli
+from exact2rel import _kernel, oracle
+
+
+def sizes():
+    return {f"{module.__name__}.{name}": f.cache_info().currsize
+            for module in (_kernel, oracle)
+            for name, f in sorted(vars(module).items())
+            if hasattr(f, "cache_info")}
+
+
+before = sizes()
+oracle.canonical_mask_of(1, 3)
+print(json.dumps([before, sizes()]))
+"""
+
+
+def test_import_builds_no_table():
+    """Importing the package and the CLI fills no cache in ``_kernel``
+    or ``oracle``: tables are built on first use, so a process that
+    never asks the oracle never pays for them."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", CACHE_SIZES], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    before, after = json.loads(run.stdout)
+    tables = {"exact2rel._kernel._plan", "exact2rel._kernel._bounds",
+              "exact2rel._kernel._hang", "exact2rel._kernel._cross_pairs",
+              "exact2rel.oracle._pair_columns",
+              "exact2rel.oracle._arc_columns"}
+    assert tables <= set(before)
+    assert {name: size for name, size in before.items() if size} == {}
+    assert after["exact2rel.oracle._pair_columns"] == 1
