@@ -1,14 +1,15 @@
 """Enumeration kernels for the oracle.
 
 These cover every weight assignment of a fixed tree shape and record
-which leaf relations arise.  The two mask kernels merge the states of
+which leaf relations arise.  Shapes are preprocessed by the caller
+(``oracle._prepare``) into flat index lists over edges numbered
+breadth-first from leaf 0.  The two mask kernels merge the states of
 subtrees, leaf depths kept as level masks: the undirected one on the
-shape hung from leaf 0, the rooted one on every root placement, which
-share the subtrees below.  The weighting search takes the edges in an
-order that completes leaf-pair paths early (``_plan``), so it cuts
-partial assignments instead of visiting each one.  Shapes are
-preprocessed by the caller into flat index lists: edges are numbered,
-and every quantity a kernel needs is a list of edge indices.
+shape hung from leaf 0, children first as descending edge numbers, the
+rooted one on every root placement, which share the subtrees below.
+The weighting search places the edges from the last to edge 0, so it
+closes the paths between nearby leaves early, cuts partial assignments
+instead of visiting each one, and emits weightings in odometer order.
 """
 
 from __future__ import annotations
@@ -22,58 +23,25 @@ USING_COMPILED = False  # kept for benchmark reports: no compiled kernel exists
 
 
 @cache
-def _plan(paths: tuple[tuple[int, ...], ...], n_edges: int) -> tuple[
-        tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
-    """An edge order that completes leaf-pair paths early: each next edge
-    leaves the fewest pairs open (started, not complete), lowest index
-    first.  Per position: (pair through the edge, path complete there?).
-    Computed once per shape for ``_bounds``, which the weighting search
-    reads."""
-    through: list[list[int]] = [[] for _ in range(n_edges)]
-    for p, path in enumerate(paths):
-        for e in path:
-            through[e].append(p)
-    left = [len(path) for path in paths]
-    opened: set[int] = set()
-    order: list[int] = []
-    steps: list[tuple[tuple[int, bool], ...]] = []
-    todo = list(range(n_edges))
-    while todo:
-        e = min(todo, key=lambda e: len(opened.union(through[e]))
-                - sum(left[p] == 1 for p in through[e]))
-        todo.remove(e)
-        order.append(e)
-        steps.append(tuple((p, left[p] == 1) for p in through[e]))
-        for p in through[e]:
-            left[p] -= 1
-        opened = {p for p in opened.union(through[e]) if left[p]}
-    return tuple(order), tuple(steps)
-
-
-@cache
 def _hang(paths: tuple[tuple[int, ...], ...]) -> tuple[
-        int, tuple[tuple[int, int, tuple[int, ...]], ...], tuple[int, ...]]:
+        int, tuple[tuple[int, int, tuple[int, ...]], ...]]:
     """The shape hung from leaf 0, read off the paths of the pairs
-    (0, j), which walk from leaf 0 down to leaf j: the leaf count; per
-    edge, children first, (edge, bit of the leaf at its lower end or 0,
-    the edges below that end); and the edges below leaf 0."""
+    (0, j), which walk from leaf 0 down to leaf j through increasing
+    edge numbers: the leaf count and, per edge from the last to edge 0
+    (so children come before their parent, and edge 0 is the top),
+    (edge, bit of the leaf at its lower end or 0, the edges below that
+    end)."""
     n = (1 + isqrt(1 + 8 * len(paths))) // 2
     below: dict[int, list[int]] = {}
-    depth: dict[int, int] = {}
     leaf_at: dict[int, int] = {}
-    top: list[int] = []
     for j, path in enumerate(paths[:n - 1], 1):
-        for d, (e, f) in enumerate(zip(path, path[1:] + (-1,))):
-            depth[e] = d
+        for e, f in zip(path, path[1:] + (-1,)):
             kids = below.setdefault(e, [])
             if f >= 0 and f not in kids:
                 kids.append(f)
         leaf_at[path[-1]] = 1 << j
-        if path[0] not in top:
-            top.append(path[0])
-    order = sorted(below, key=depth.__getitem__, reverse=True)
     return n, tuple((e, leaf_at.get(e, 0), tuple(below[e]))
-                    for e in order), tuple(top)
+                    for e in reversed(range(len(below))))
 
 
 @cache
@@ -114,8 +82,9 @@ def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
     """All achievable relation bitmasks for one tree shape.
 
     A dynamic program over subtrees, the shape hung from leaf 0
-    (``_hang``), so ``paths[j - 1]`` must walk from leaf 0 to leaf j, as
-    ``oracle._prepare`` lists them.  A state is a pair mask and the
+    (``_hang``), so ``paths[j - 1]`` must walk from leaf 0 to leaf j
+    through increasing edge numbers, as ``oracle._prepare`` numbers and
+    lists them.  A state is a pair mask and the
     level masks z_0 .. z_k packed ``n`` bits apart, z_d holding the
     leaves at depth d below the subtree's top; deeper leaves meet no
     later leaf at weight exactly ``k`` and drop out.  Where subtrees
@@ -134,7 +103,9 @@ def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
         k: relation level.
         zero_discrete: skip weightings placing two leaves at weight 0.
     """
-    n, edges, top = _hang(tuple(map(tuple, paths)))
+    if not min_w:  # one leaf: no edge, no pair
+        return {0}
+    n, edges = _hang(tuple(map(tuple, paths)))
     cross = _cross_pairs(n)
     full, keep = (1 << n) - 1, (1 << (k + 1) * n) - 1
     levels = [d * n for d in range(k + 1)]
@@ -166,23 +137,28 @@ def enumerate_relation_masks(n_pairs: int, paths: list[list[int]],
         if leaf:
             parts.append({(0, leaf)})
         below[e] = _shift(reduce(merge, parts), min_w[e], max_w, n, keep)
-    return {m for m, _ in reduce(merge, [below[e] for e in top], {(0, 1)})}
+    return {m for m, _ in merge({(0, 1)}, below[0])}
 
 
 @cache
 def _bounds(paths: tuple[tuple[int, ...], ...],
             min_w: tuple[int, ...]) -> tuple:
-    """``_plan``'s order; per position, the pairs through its edge and their
-    (pair, bit, least weight still to come, complete?).  None of it reads
-    the target: built once per shape and lower bounds."""
-    order, steps = _plan(paths, len(min_w))
+    """Per edge, the pairs through it and their (pair, bit, least weight
+    still to come, complete?) for a walk that places the edges from the
+    last to edge 0, so a path is complete at its lowest edge.  None of
+    it reads the target: built once per shape and lower bounds."""
+    through: list[list[int]] = [[] for _ in min_w]
+    for p, path in enumerate(paths):
+        for e in path:
+            through[e].append(p)
     low = [sum(min_w[e] for e in path) for path in paths]
-    checks = []
-    for e, step in zip(order, steps):
-        for p, _ in step:
+    checks: list[tuple] = [()] * len(min_w)
+    for e in reversed(range(len(min_w))):
+        for p in through[e]:
             low[p] -= min_w[e]
-        checks.append(tuple((p, 1 << p, low[p], c) for p, c in step))
-    return order, tuple(tuple(p for p, _ in s) for s in steps), tuple(checks)
+        checks[e] = tuple((p, 1 << p, low[p], min(paths[p]) == e)
+                          for p in through[e])
+    return tuple(map(tuple, through)), tuple(checks)
 
 
 def matching_weightings(n_pairs: int, paths: list[list[int]],
@@ -191,28 +167,29 @@ def matching_weightings(n_pairs: int, paths: list[list[int]],
     """Weight vectors whose relation mask equals ``target``, edge 0
     varying fastest.
 
-    A depth-first search over the edges in ``_plan`` order on one weight
+    A depth-first search from the last edge down to edge 0 on one weight
     array and one array of partial path weights, undone on the way back.
-    No pair that ``target`` relates may exceed ``k`` even with the
-    smallest weights still to come; a completed path must match its bit
-    of ``target`` and, under ``zero_discrete``, weigh more than 0.
+    Each edge tries its weights in increasing order, so the weightings
+    come out in odometer order.  No pair that ``target`` relates may
+    exceed ``k`` even with the smallest weights still to come; a
+    completed path must match its bit of ``target`` and, under
+    ``zero_discrete``, weigh more than 0.
     """
     if target >> n_pairs:
         return []
     if not min_w:
         return [()]
-    order, through, checks = _bounds(tuple(map(tuple, paths)), tuple(min_w))
-    last = len(order) - 1
+    through, checks = _bounds(tuple(map(tuple, paths)), tuple(min_w))
+    last = len(min_w) - 1
     w = list(min_w)
     d = [0] * n_pairs  # per pair: weight of its path's edges placed so far
-    left: list = [None] * len(order)  # per position: weights still to try
+    left: list = [None] * len(min_w)  # per edge: weights still to try
     found: list[tuple[int, ...]] = []
-    i = 0
-    while i >= 0:
-        e = order[i]
-        if left[i] is None:  # first visit: this edge's admissible weights
+    e = last
+    while e <= last:
+        if left[e] is None:  # first visit: this edge's admissible weights
             lo, hi, avoid = min_w[e], max_w, []
-            for p, bit, rest, closes in checks[i]:
+            for p, bit, rest, closes in checks[e]:
                 r = k - d[p]  # what pair p still needs to weigh k
                 if target & bit:
                     if hi > r - rest:
@@ -221,23 +198,22 @@ def matching_weightings(n_pairs: int, paths: list[list[int]],
                         lo = r
                 elif closes:
                     avoid += [r, r - k] if zero_discrete else [r]
-            left[i] = iter([x for x in range(lo, hi + 1) if x not in avoid])
-            if i == last:  # emit them all; the walk goes back from here
-                for w[e] in left[i]:
+            left[e] = iter([x for x in range(lo, hi + 1) if x not in avoid])
+            if e == 0:  # emit them all; the walk goes back from here
+                for w[0] in left[0]:
                     found.append(tuple(w))
-        else:  # back from position i + 1: undo this edge's weight
-            for p in through[i]:
+        else:  # back from edge e - 1: undo this edge's weight
+            for p in through[e]:
                 d[p] -= w[e]
-        x = next(left[i], None)
+        x = next(left[e], None)
         if x is None:
-            left[i] = None
-            i -= 1
+            left[e] = None
+            e += 1
             continue
         w[e] = x
-        for p in through[i]:
+        for p in through[e]:
             d[p] += x
-        i += 1
-    found.sort(key=lambda w: w[::-1])
+        e -= 1
     return found
 
 

@@ -126,8 +126,13 @@ def _shape_form(adj: tuple[dict[int, int], ...], v: int, up: int = -1) -> tuple:
 
 @dataclass(frozen=True)
 class _Shape:
+    """A topology as the kernels read it.  Its edges are numbered
+    breadth-first from leaf 0, each as (upper end, lower end), so the
+    path of pair p = (0, j), ``paths[j - 1]``, is strictly increasing;
+    pairs are numbered in ``combinations(range(n), 2)`` order."""
+
     edges: tuple[tuple[int, int], ...]
-    # per vertex, (neighbour, edge index) in the order of ``edges``
+    # per vertex, (neighbour, edge index) in the topology's own order
     nbrs: tuple[tuple[tuple[int, int], ...], ...]
     paths: tuple[tuple[int, ...], ...]
     min_w_canonical: tuple[int, ...]
@@ -141,11 +146,14 @@ def _prepare(t: LabeledTree) -> _Shape:
     names = t.leaf_names
     leaves = [t.vertex_of(s) for s in names]
     n = len(leaves)
-    edges = tuple((u, v) for u, v, _ in t.weighted_edges())
-    adj_e: list[list[tuple[int, int]]] = [[] for _ in range(t.nv)]
+    order = [(-1, leaves[0])]
+    for up, u in order:  # breadth-first: the list grows as it is read
+        order += [(u, v) for v in t.adj[u] if v != up]
+    edges = tuple(order[1:])
+    number: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(edges):
-        adj_e[u].append((v, i))
-        adj_e[v].append((u, i))
+        number[u, v] = number[v, u] = i
+    adj_e = [[(y, number[x, y]) for y in t.adj[x]] for x in range(t.nv)]
 
     def paths_from(src: int) -> list[tuple[int, ...]]:
         path: list[tuple[int, ...] | None] = [None] * t.nv

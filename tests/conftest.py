@@ -5,7 +5,7 @@ package against code with no shared logic.
 """
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -17,8 +17,8 @@ from exact2rel import (GraphFormatError, LabeledTree, RootedLabeledTree,
                        from_arc_list, from_edge_list, is_canonical,
                        is_canonical_rooted, leaf_distance_matrix,
                        underlying_tree)
-from exact2rel._kernel import (_plan, enumerate_relation_masks,
-                               enumerate_rooted_arc_masks)
+from exact2rel._kernel import (enumerate_relation_masks,
+                               enumerate_rooted_arc_masks, matching_weightings)
 from exact2rel.graphs import collector_paused
 from exact2rel.newick import _Parser
 from exact2rel.oracle import (LETTERS, _arc_columns, _orbit_minima,
@@ -486,9 +486,36 @@ def reference_configurations(n_pairs, paths, min_w_canonical, min_w_free,
             yield min_w, zero_discrete, by_mask
 
 
-# The three kernels as they were before the search's bounds were cached
-# and the mask kernels' states became level masks: kept as the
-# references the rewritten kernels must equal.
+# The two mask kernels as they were before their states became level
+# masks: kept as the references the rewritten kernels must equal.
+
+@cache
+def _plan(paths: tuple[tuple[int, ...], ...], n_edges: int) -> tuple[
+        tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
+    """An edge order that completes leaf-pair paths early: each next edge
+    leaves the fewest pairs open (started, not complete), lowest index
+    first.  Per position: (pair through the edge, path complete there?).
+    Computed once per shape for ``previous_relation_masks``."""
+    through: list[list[int]] = [[] for _ in range(n_edges)]
+    for p, path in enumerate(paths):
+        for e in path:
+            through[e].append(p)
+    left = [len(path) for path in paths]
+    opened: set[int] = set()
+    order: list[int] = []
+    steps: list[tuple[tuple[int, bool], ...]] = []
+    todo = list(range(n_edges))
+    while todo:
+        e = min(todo, key=lambda e: len(opened.union(through[e]))
+                - sum(left[p] == 1 for p in through[e]))
+        todo.remove(e)
+        order.append(e)
+        steps.append(tuple((p, left[p] == 1) for p in through[e]))
+        for p in through[e]:
+            left[p] -= 1
+        opened = {p for p in opened.union(through[e]) if left[p]}
+    return tuple(order), tuple(steps)
+
 
 def previous_relation_masks(n_pairs: int, paths: list[list[int]],
                             min_w: list[int], max_w: int, k: int,
@@ -537,59 +564,6 @@ def previous_relation_masks(n_pairs: int, paths: list[list[int]],
                              *[min(w, cap)] * len(fresh)))
         states = nxt
     return {state[0] for state in states}
-
-
-def previous_matching_weightings(n_pairs: int, paths: list[list[int]],
-                                 min_w: list[int], max_w: int, k: int,
-                                 zero_discrete: bool,
-                                 target: int) -> list[tuple[int, ...]]:
-    """Weight vectors whose relation mask equals ``target``, edge 0
-    varying fastest.
-
-    A depth-first search over the edges in ``_plan`` order.  No pair that
-    ``target`` relates may exceed ``k`` even with the smallest weights
-    still to come; a completed path must match its bit of ``target`` and,
-    under ``zero_discrete``, weigh more than 0.
-    """
-    if target >> n_pairs:
-        return []
-    if not min_w:
-        return [()]
-    order, steps = _plan(tuple(map(tuple, paths)), len(min_w))
-    low = [sum(min_w[e] for e in path) for path in paths]
-    checks = []  # per position: (pair, related?, smallest rest, complete?)
-    for e, step in zip(order, steps):
-        for p, _ in step:
-            low[p] -= min_w[e]
-        checks.append([(p, target >> p & 1, low[p], closes)
-                       for p, closes in step])
-    found: list[tuple[int, ...]] = []
-    stack = [(0, [0] * n_pairs, list(min_w))]
-    while stack:
-        i, d, w = stack.pop()
-        e = order[i]
-        lo, hi, avoid = min_w[e], max_w, []
-        for p, related, rest, closes in checks[i]:
-            if related:
-                if hi > k - d[p] - rest:
-                    hi = k - d[p] - rest
-                if closes and lo < k - d[p]:
-                    lo = k - d[p]
-            elif closes:
-                avoid += [k - d[p], -d[p]] if zero_discrete else [k - d[p]]
-        for x in range(lo, hi + 1):
-            if x in avoid:
-                continue
-            w[e] = x
-            if i + 1 == len(order):
-                found.append(tuple(w))
-                continue
-            nd = d[:]
-            for p, *_ in checks[i]:
-                nd[p] += x
-            stack.append((i + 1, nd, w[:]))
-    found.sort(key=lambda w: w[::-1])
-    return found
 
 
 def previous_rooted_arc_masks(
@@ -812,9 +786,10 @@ def _tree_with_weights(t, shape, weights, rename=None):
 def reference_all_witnesses(g, budget, k):
     """``all_witnesses`` as it was before the shapes were cached: one
     ``_prepare`` per topology per call, the weightings from
-    ``previous_matching_weightings``, one validated tree and one
-    ``reference_canonical_form`` per weighting, sorted by that form.
-    Built with the cyclic collector paused, as the listing is."""
+    ``matching_weightings`` (which ``test_kernel`` holds to the
+    odometer), one validated tree and one ``reference_canonical_form``
+    per weighting, sorted by that form.  Built with the cyclic collector
+    paused, as the listing is."""
     budget.validate(k)
     if g.n == 0 or g.n > budget.max_leaves:
         return []
@@ -827,7 +802,7 @@ def reference_all_witnesses(g, budget, k):
             shape = _prepare(topo)
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
-            for wvec in previous_matching_weightings(
+            for wvec in matching_weightings(
                     len(shape.paths), shape.paths, min_w, W, k,
                     budget.zero_discrete_only, target):
                 t = _tree_with_weights(topo, shape, wvec, rename)

@@ -9,20 +9,21 @@ free weights; the canonical and zero-discrete configurations are
 filters of that walk, which keep its order.  The odometer references in
 ``conftest`` visit every weighting (and every root placement); the
 pruned kernels must return exactly what they return, lists in the same
-order.  Where the odometers are too slow (six leaves for the mask
-kernels, every labeled 5-leaf topology for the search), the kernels
+order, on every labeled topology with up to five leaves.  Where the
+odometers are too slow (six leaves for the mask kernels), the kernels
 must equal the ones their rewrite replaced, kept in ``conftest`` as
-``previous_relation_masks``, ``previous_rooted_arc_masks`` and
-``previous_matching_weightings``.
+``previous_relation_masks`` and ``previous_rooted_arc_masks``.  Both
+undirected kernels read the edge numbering of ``oracle._prepare``,
+which has its own gate here.
 """
 
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from conftest import (_tree_with_weights, pair_index_of,
-                      previous_matching_weightings, previous_relation_masks,
-                      previous_rooted_arc_masks, reference_configurations,
+                      previous_relation_masks, previous_rooted_arc_masks,
+                      reference_configurations,
                       reference_matching_weightings,
                       reference_rooted_arc_masks)
 from exact2rel._kernel import (enumerate_relation_masks,
@@ -210,25 +211,6 @@ def test_rooted_kernel_equals_the_previous_kernel_at_six_leaves():
                     == previous_rooted_arc_masks(*args))
 
 
-def test_matching_weightings_equals_the_previous_search():
-    """Every labeled 5-leaf topology at k = 2 in every configuration,
-    for every achievable target plus the empty and the full mask: the
-    same weighting lists in the same order as the copying search the
-    undo walk replaced.  Canonical and free weights run on the same
-    paths, so bounds cached per paths alone would fail here."""
-    k = 2
-    for topo in enumerate_topologies(5):
-        sh = _prepare(topo)
-        n_pairs = len(sh.paths)
-        for min_w, zero_discrete in configurations_of(sh):
-            args = (n_pairs, sh.paths, min_w, k + 1, k, zero_discrete)
-            targets = {0, (1 << n_pairs) - 1,
-                       *enumerate_relation_masks(*args)}
-            for target in sorted(targets):
-                assert (matching_weightings(*args, target)
-                        == previous_matching_weightings(*args, target))
-
-
 def test_relation_kernel_equals_the_previous_kernel_at_six_leaves():
     """The unlabeled 6-leaf shapes at k = 1, 2, 3 with cap k + 1 and at
     k = 2 with caps 2 and 4, in every configuration: the subtree kernel
@@ -241,3 +223,31 @@ def test_relation_kernel_equals_the_previous_kernel_at_six_leaves():
                         zero_discrete)
                 assert (enumerate_relation_masks(*args)
                         == previous_relation_masks(*args))
+
+
+def test_edges_are_numbered_breadth_first_from_leaf_0():
+    """Every labeled topology with 1-6 leaves and every unlabeled 7-leaf
+    shape: the edges of ``_prepare`` are the tree's, edge 0 touches leaf
+    0, each path from leaf 0 is strictly increasing, and edge numbers
+    never decrease with depth from leaf 0.  The relation kernel reads
+    children first as descending edge numbers, and the weighting search
+    gets odometer order from walking the edges last first."""
+    topologies = chain(*map(enumerate_topologies, range(1, 7)),
+                       unlabeled_shapes(7))
+    for topo in topologies:
+        sh = _prepare(topo)
+        n, leaf0 = topo.n_leaves, topo.vertex_of("a")
+        assert ({frozenset(e) for e in sh.edges}
+                == {frozenset((u, v)) for u, v, _ in topo.weighted_edges()})
+        assert n == 1 or leaf0 in sh.edges[0]
+        for path in sh.paths[:n - 1]:
+            assert all(e < f for e, f in zip(path, path[1:]))
+        dist = {leaf0: 0}
+        todo = [leaf0]
+        for u in todo:
+            for v in topo.adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    todo.append(v)
+        depths = [min(dist[u], dist[v]) for u, v in sh.edges]
+        assert depths == sorted(depths)
