@@ -72,7 +72,10 @@ def _cross_pairs(n: int) -> list[list[int]]:
 def _shift(states: set, lo: int, hi: int, n: int, keep: int) -> set:
     """``states`` seen across an edge of weight ``lo`` .. ``hi``: the
     level masks, ``n`` bits apart, move ``w`` levels deeper and the
-    levels beyond ``keep`` drop out."""
+    levels beyond ``keep`` drop out.  A weight of ``keep``'s level
+    count drops them all, as does every larger one, so the weights stop
+    there whatever ``hi`` is."""
+    hi = min(hi, keep.bit_length() // n)
     return {(m, z << w * n & keep) for w in range(lo, hi + 1) for m, z in states}
 
 

@@ -3,6 +3,8 @@ are drawn dashed.  Output is deterministic for a given input."""
 
 from __future__ import annotations
 
+from itertools import count
+
 from .graphs import Graph, OrientedGraph
 from .trees import LabeledTree
 
@@ -14,14 +16,12 @@ def _edge_attrs(w: int) -> str:
 
 
 def tree_to_dot(t: LabeledTree) -> str:
-    ids = {}
-    interior = 0
-    for v in range(t.nv):
-        if v in t.names:
-            ids[v] = t.names[v]
-        else:
-            ids[v] = f"i{interior}"
-            interior += 1
+    """Leaves are named after their labels, unnamed vertices ``i0``,
+    ``i1``, ... in vertex order, skipping the ids that are leaf names."""
+    taken = set(t.names.values())
+    fresh = (i for i in map("i{}".format, count()) if i not in taken)
+    ids = {v: t.names[v] if v in t.names else next(fresh)
+           for v in range(t.nv)}
     lines = ["graph tree {"]
     for v in sorted(t.names):
         lines.append(f'  "{ids[v]}";')

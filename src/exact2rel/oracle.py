@@ -13,7 +13,10 @@ explainable sets call their kernel once per unlabeled shape.  What a
 kernel needs of a shape is prepared once per process, per leaf count:
 the unlabeled shapes for the explainable sets, the labeled topologies
 for ``all_witnesses``, which assembles each witness from its topology's
-edges and weights without re-validating the tree.
+edges and weights without re-validating the tree.  ``all_witnesses``
+searches no topology in which two leaves on one vertex have neighbour
+sets in the target that differ but meet; that rule is a fact about
+distances in trees, and it reads no code of the recognizer.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ LETTERS = "abcdefg"
 class EnumerationBudget:
     """Bounds for brute-force enumeration.
 
-    ``max_weight=None`` means ``k + 1`` at point of use — larger weights
-    never enlarge the family of realizable graphs (checked by a test
-    comparing caps k+1 and k+2).  ``canonical_only`` restricts interior
-    edge weights to >= 1, which loses no graphs since canonicalization
-    preserves the relation.
+    ``max_weight=None`` means ``k + 1`` at point of use.  Larger caps
+    never enlarge the family of realizable graphs: an edge of weight
+    k+1 or more puts every path through it above k, so all such weights
+    give the same relation, and the mask kernels stop at k+1 whatever
+    the cap (witness lists do grow with it).  ``canonical_only``
+    restricts interior edge weights to >= 1, which loses no graphs
+    since canonicalization preserves the relation.
     """
 
     max_leaves: int = 5
@@ -197,13 +202,16 @@ def _shapes(n: int) -> tuple[_Shape, ...]:
 
 class _Labeled(NamedTuple):
     """A labeled topology as ``all_witnesses`` walks it: its shape, its
-    leaf names as graph vertices ("0" for a, "1" for b, ...), and its
-    sort key as constants and weight slots (see ``_labeled``)."""
+    leaf names as graph vertices ("0" for a, "1" for b, ...), its sort
+    key as constants and weight slots (see ``_labeled``), and its
+    sibling pairs, the leaves hanging from one vertex, as a pair mask
+    over those graph vertices."""
 
     shape: _Shape
     names: tuple[tuple[int, str], ...]
     consts: tuple[str, ...]
     key: itemgetter  # applied to the weights followed by ``consts``
+    siblings: int
 
 
 @cache
@@ -216,11 +224,16 @@ def _labeled(n: int) -> tuple[_Labeled, ...]:
     one token sequence with a slot per edge weight: the key of the
     topology with weight ``-1 - e`` on edge ``e``, taken once.  An int
     token is the slot of a weight, every other token a constant, so a
-    witness's key is its ``canonical_form``."""
+    witness's key is its ``canonical_form``.  The sibling pairs are the
+    pairs whose path has two edges, bit ``p`` for pair ``p`` in
+    ``combinations(range(n), 2)`` order, as ``graph_to_mask`` numbers
+    the pairs of the target."""
     out = []
     for t in _topologies(n):
         sh = _prepare(t)
         names = tuple((v, str(LETTERS.index(s))) for v, s in t.names.items())
+        siblings = sum(1 << p for p, path in enumerate(sh.paths)
+                       if len(path) == 2)
         slots = tuple({y: -1 - e for y, e in nb} for nb in sh.nbrs)
         consts: list[str] = []
         index: list[int] = []
@@ -230,7 +243,8 @@ def _labeled(n: int) -> tuple[_Labeled, ...]:
             else:
                 index.append(len(sh.edges) + len(consts))
                 consts.append(x)
-        out.append(_Labeled(sh, names, tuple(consts), itemgetter(*index)))
+        out.append(_Labeled(sh, names, tuple(consts), itemgetter(*index),
+                            siblings))
     return tuple(out)
 
 
@@ -425,19 +439,44 @@ def explainable_set(budget: EnumerationBudget, k: int) -> ExplainableSet:
     return ExplainableSet(k, budget, out)
 
 
+def _split_pairs(g: Graph) -> int:
+    """The pair mask of the vertex pairs x, y of ``g`` that no tree
+    realizing ``g`` hangs from one vertex: N(x) - y and N(y) - x differ
+    but meet."""
+    nb = [sum(1 << u for u in adj) for adj in g.adj]
+    out = 0
+    for p, (x, y) in enumerate(combinations(range(g.n), 2)):
+        a, b = nb[x] & ~(1 << y), nb[y] & ~(1 << x)
+        if a != b and a & b:
+            out |= 1 << p
+    return out
+
+
 def all_witnesses(g: Graph, budget: EnumerationBudget, k: int) -> list[LabeledTree]:
     """Every tree within budget whose level-``k`` relation is exactly
     ``g`` (leaves named after its vertices), each weighting of each
     labeled topology once, sorted by ``canonical_form``.  Empty when
-    ``g.n`` exceeds the budget."""
+    ``g.n`` exceeds the budget.
+
+    A labeled topology is searched only if each of its sibling pairs x, y
+    (``_Labeled.siblings``) has N(x) - y and N(y) - x equal or disjoint
+    in ``g``.  Proof: with x and y on one vertex p, every other leaf z
+    lies at w_x + d(p, z) from x and at w_y + d(p, z) from y.  So x and y
+    are related to the same leaves (w_x = w_y) or to no common one
+    (w_x != w_y), whatever the level, the cap or the weight
+    restrictions, and a topology with a pair of ``_split_pairs(g)``
+    among its siblings has no witness."""
     budget.validate(k)
     if g.n == 0 or g.n > budget.max_leaves:
         return []
     W = budget.resolve_weight(k)
     target = graph_to_mask(g)
+    split = _split_pairs(g)
     found: list[tuple[tuple, LabeledTree]] = []
     with collector_paused():
         for lt in _labeled(g.n):
+            if lt.siblings & split:
+                continue
             sh = lt.shape
             min_w = (sh.min_w_canonical if budget.canonical_only
                      else sh.min_w_free)

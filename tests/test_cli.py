@@ -59,6 +59,18 @@ def test_explain_dot_marks_zero_edges(write, capsys):
     assert "->" in capsys.readouterr().out
 
 
+def test_tree_dot_ids_skip_leaf_names(write, capsys):
+    """Unnamed vertices never take an id that a leaf already has."""
+    tree = write("t.nwk", "(i0:1,i1:1,(c:1,d:2):1);\n")
+    assert main(["canonicalize", tree, "--dot"]) == 0
+    assert capsys.readouterr().out == (
+        'graph tree {\n  "i0";\n  "i1";\n  "c";\n  "d";\n'
+        '  "i2" [shape=point];\n  "i3" [shape=point];\n'
+        '  "i2" -- "i0" [label="1"];\n  "i2" -- "i1" [label="1"];\n'
+        '  "i2" -- "i3" [label="1"];\n  "i3" -- "c" [label="1"];\n'
+        '  "i3" -- "d" [label="2"];\n}\n')
+
+
 def test_recognize_yes_and_verify(write, capsys, tmp_path):
     graph = write("g.txt", C4)
     witness = str(tmp_path / "w.nwk")

@@ -1,6 +1,7 @@
 import gc
 import random
-from itertools import permutations
+import time
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,8 +16,9 @@ from exact2rel import (EnumerationBudget, all_witnesses,
                        induced_subgraph, is_canonical, recognize,
                        rooted_explainable_set, verify)
 from exact2rel import oracle
+from exact2rel._kernel import matching_weightings
 from exact2rel.graphs import collector_paused
-from exact2rel.oracle import (_labeled, _prepare, _shapes,
+from exact2rel.oracle import (LETTERS, _labeled, _prepare, _shapes,
                               _topologies, all_graph_classes,
                               all_oriented_classes, canonical_mask_of,
                               graph_to_mask, mask_to_graph, unlabeled_shapes)
@@ -220,6 +222,18 @@ def test_weight_cap_is_saturated():
         assert small.masks == large.masks
 
 
+def test_a_huge_weight_cap_gives_the_counts_of_cap_four():
+    """The mask kernels stop at weight k+1, so a cap of 10^9 gives the
+    counts of cap 4 in about the same time."""
+    start = time.perf_counter()
+    huge = check_characterization(EnumerationBudget(4, max_weight=10**9), 2)
+    assert time.perf_counter() - start < 2
+    small = check_characterization(EnumerationBudget(4, max_weight=4), 2)
+    assert huge.ok and small.ok
+    assert huge.counts == small.counts
+    assert huge.non_members == small.non_members
+
+
 def test_explainable_set_is_hereditary():
     es = explainable_set(EnumerationBudget(max_leaves=5), 2)
     rng = random.Random(12)
@@ -304,6 +318,56 @@ def test_witnesses_are_listed_with_the_collector_paused(monkeypatch):
     enabled = gc.isenabled()
     all_witnesses(g, b, 2)
     assert during and not any(during) and gc.isenabled() == enabled
+
+
+def test_sibling_pairs_are_the_leaves_on_one_vertex():
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for t, lt in zip(_topologies(n), _labeled(n)):
+            on = [t.adj[t.vertex_of(s)].keys() for s in LETTERS[:n]]
+            assert lt.siblings == sum(1 << p for p, (x, y) in enumerate(pairs)
+                                      if on[x] == on[y])
+
+
+def test_pruned_topologies_have_no_witness():
+    """Every topology that ``all_witnesses`` skips, on every class with
+    1-5 vertices at k = 1, 2, 3 in all four configurations, has no
+    matching weighting: two leaves on one vertex are related to the
+    same other leaves or to disjoint sets of them."""
+    skipped = 0
+    for n in range(1, 6):
+        for mask in all_graph_classes(n):
+            split = oracle._split_pairs(mask_to_graph(n, mask))
+            pruned = [lt.shape for lt in _labeled(n) if lt.siblings & split]
+            skipped += len(pruned)
+            for k in (1, 2, 3):
+                for canonical in (True, False):
+                    for zd in (False, True):
+                        for sh in pruned:
+                            min_w = (sh.min_w_canonical if canonical
+                                     else sh.min_w_free)
+                            assert matching_weightings(
+                                len(sh.paths), sh.paths, min_w, k + 1, k,
+                                zd, mask) == []
+    assert skipped == 458  # of 935 (class, topology) pairs
+
+
+@pytest.mark.parametrize("edges, searched", [
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5),  # C5
+    ([(0, 1), (1, 2), (2, 3), (3, 4)], 10),  # P5
+    ([(0, 1), (0, 2), (0, 3), (0, 4)], 26),  # K1,4
+    ([], 26),  # edgeless
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)], 0),  # gem
+])
+def test_witness_search_skips_split_siblings(monkeypatch, edges, searched):
+    """How many of the 26 labeled 5-leaf topologies reach the search
+    (stubbed out here: only its calls are counted)."""
+    calls = []
+    monkeypatch.setattr(oracle, "matching_weightings",
+                        lambda *args: calls.append(args) or [])
+    assert all_witnesses(from_edge_list(5, edges), EnumerationBudget(5),
+                         2) == []
+    assert len(calls) == searched
 
 
 def same_trees(xs, ys):
