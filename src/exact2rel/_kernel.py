@@ -3,19 +3,20 @@
 These cover every weight assignment of a fixed tree shape and record
 which leaf relations arise.  Shapes are preprocessed by the caller
 (``oracle._prepare``) into flat index lists over edges numbered
-breadth-first from leaf 0.  The two mask kernels merge the states of
-subtrees, leaf depths kept as level masks: the undirected one on the
-shape hung from leaf 0, children first as descending edge numbers, the
-rooted one on every root placement, which share the subtrees below.
-The weighting search places the edges from the last to edge 0, so it
-closes the paths between nearby leaves early, cuts partial assignments
-instead of visiting each one, and emits weightings in odometer order.
+breadth-first from leaf 0.  Both mask kernels read the shape hung from
+leaf 0 (``_hang``) and merge the states of subtrees, leaf depths kept
+as level masks, children first as descending edge numbers; the rooted
+one then walks parents first to give each root placement the states
+from above it.  The weighting search places the edges from the last to
+edge 0, so it closes the paths between nearby leaves early, cuts
+partial assignments instead of visiting each one, and emits weightings
+in odometer order.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from operator import or_
 
@@ -176,7 +177,12 @@ def matching_weightings(n_pairs: int, paths: list[list[int]],
     come out in odometer order.  No pair that ``target`` relates may
     exceed ``k`` even with the smallest weights still to come; a
     completed path must match its bit of ``target`` and, under
-    ``zero_discrete``, weigh more than 0.
+    ``zero_discrete``, weigh more than 0.  A weight above ``k`` fits
+    only an edge that no related pair crosses, and there every weight
+    from k + 1 up leaves the same completions: the search caps the
+    weights at k + 1 and, when ``max_w`` is larger, widens each k + 1
+    of a weighting found to every weight up to ``max_w``, so a search
+    that finds nothing costs the same at any cap.
     """
     if target >> n_pairs:
         return []
@@ -187,11 +193,12 @@ def matching_weightings(n_pairs: int, paths: list[list[int]],
     w = list(min_w)
     d = [0] * n_pairs  # per pair: weight of its path's edges placed so far
     left: list = [None] * len(min_w)  # per edge: weights still to try
+    cap = min(max_w, k + 1)
     found: list[tuple[int, ...]] = []
     e = last
     while e <= last:
         if left[e] is None:  # first visit: this edge's admissible weights
-            lo, hi, avoid = min_w[e], max_w, []
+            lo, hi, avoid = min_w[e], cap, []
             for p, bit, rest, closes in checks[e]:
                 r = k - d[p]  # what pair p still needs to weigh k
                 if target & bit:
@@ -217,51 +224,49 @@ def matching_weightings(n_pairs: int, paths: list[list[int]],
         for p in through[e]:
             d[p] += x
         e -= 1
+    if max_w > cap and found:
+        wide = range(cap, max_w + 1)
+        found = sorted((v for f in found for v in product(
+            *[wide if x == cap else (x,) for x in f])), key=lambda v: v[::-1])
     return found
 
 
 def enumerate_rooted_arc_masks(
         n_leaves: int, pair_index: list[list[int]], paths: list[list[int]],
-        min_w: list[int], max_w: int, k: int, zero_discrete: bool,
-        interior_roots: list[list[list[int]]],
-        edge_roots: list[tuple[int, int, list[int], list[list[int]]]]
-) -> set[int]:
+        min_w: list[int], max_w: int, k: int, zero_discrete: bool) -> set[int]:
     """All arc bitmasks of the directed relation over every weighting and
     every root placement of one tree shape; bit ``x * n_leaves + y`` says
     x -> y.  Roots are every interior vertex and every split (a, w_e - a)
-    of an edge.  ``interior_roots[r][x]`` lists the edges from leaf x to
-    interior vertex r; ``edge_roots[e]`` is ``(u_is_leaf, v_is_leaf,
-    side, near)``: ``side[x]`` is 1 for leaves on the u side, ``near[x]``
-    lists the edges from x to its near endpoint.
+    of an edge.
 
-    A dynamic program over subtrees: a state is an arc mask and the level
-    masks z_0 .. z_k packed ``n_leaves`` bits apart, z_d holding the
-    leaves at depth d below the top (deeper ones join no later arc and
-    drop out, so a shift is a bit shift cut at level k).  Where subtrees
-    meet, the levels are ORed and x -> y is set iff x is at depth 0 and
-    y at k: ``rows[z_0] * z_k`` both ways; under ``zero_discrete`` two
-    leaves at depth 0 drop the state.  The states below an edge, weight
-    included, are built once per call, keyed by the edge and the leaf
-    set below it, and shared by every root.  Splits with both parts
-    above 0 put no leaf at depth 0 and all give ``m_u | m_v``, taken once
-    per edge; a zero part toward an interior endpoint is skipped (that
-    root is the endpoint's own placement).  ``pair_index`` and ``paths``
-    are unused; they keep the signature the benchmark's hooks bind
-    (``min_w``, ``max_w`` at 3-4).
+    A rerooting dynamic program on the shape hung from leaf 0
+    (``_hang``), as ``enumerate_relation_masks`` reads ``paths``.  A
+    state is an arc mask and the level masks z_0 .. z_k packed
+    ``n_leaves`` bits apart, z_d holding the leaves at depth d below the
+    top (deeper ones join no later arc and drop out, so a shift is a bit
+    shift cut at level k).  Where subtrees meet, the levels are ORed and
+    x -> y is set iff x is at depth 0 and y at k: ``rows[z_0] * z_k``
+    both ways; under ``zero_discrete`` two leaves at depth 0 drop the
+    state.  Children first, ``at[e]`` holds the states at edge e's lower
+    end from below and ``down[e]`` the same seen across e.  Parents
+    first, ``up[e]`` holds the states at e's upper end from the leaves
+    not below e, leaf 0 alone for edge 0; a child's ``up`` merges its
+    parent's, seen across the parent edge, with its siblings' ``down``.
+    An interior lower end is rooted as ``up`` across e merged with
+    ``at``; a split of e has ``up[e]`` on its upper side and ``at[e]`` on
+    its lower one, and its upper end is a leaf only for edge 0.  Splits
+    with both parts above 0 put no leaf at depth 0 and all give
+    ``m_u | m_v``, taken once per edge; a zero part toward an interior
+    endpoint is skipped (that root is the endpoint's own placement).
+    ``pair_index`` is unused; it keeps the signature the benchmark's
+    hooks bind (``min_w``, ``max_w`` at 3-4).
     """
+    if not min_w:  # one leaf: no edge, no arc
+        return {0}
     n, full = n_leaves, (1 << n_leaves) - 1
-    memo: dict[tuple[int, int], set] = {}  # (edge, leaves below) -> states
     kn, keep = k * n, (1 << (k + 1) * n) - 1
     rows = [sum(1 << x * n for x in range(n) if z >> x & 1)
             for z in range(full + 1)]  # rows[z]: bit x * n per leaf x of z
-
-    def branches(near: list[list[int]], leaves: int) -> list[tuple[int, int]]:
-        """(edge, leaves beyond) per branch where ``near`` leads ``leaves``."""
-        out: dict[int, int] = {}
-        for x in range(n):
-            if leaves >> x & 1 and near[x]:
-                out[near[x][-1]] = out.get(near[x][-1], 0) | 1 << x
-        return sorted(out.items())
 
     def merge(a: set, b: set) -> set:
         # per state: mask, rows of the depth-0 leaves, depth-k leaves, levels
@@ -274,33 +279,26 @@ def enumerate_rooted_arc_masks(
                     out.add((ma | mb | ra * kb | rb * ka, za | zb))
         return out
 
-    def join(near: list[list[int]], leaves: int) -> set:
-        """The states at the vertex that ``near`` leads ``leaves`` to."""
-        alone = {(0, leaves if leaves & leaves - 1 == 0 else 0)}
-        return reduce(merge, [memo[b] for b in branches(near, leaves)], alone)
-
-    def top(near: list[list[int]], leaves: int) -> set:
-        """``join`` after filling ``memo`` below, children first."""
-        stack = [b for b in branches(near, leaves) if b not in memo]
-        while stack:
-            e, side = stack[-1]
-            below = edge_roots[e][3]
-            missing = [b for b in branches(below, side) if b not in memo]
-            stack += missing
-            if not missing:
-                memo[stack.pop()] = _shift(join(below, side), min_w[e],
-                                           max_w, n, keep)
-        return join(near, leaves)
-
-    masks = {m for rts in interior_roots for m, _ in top(rts, full)}
-    for e, (u_leaf, v_leaf, side, near) in enumerate(edge_roots):
-        u_side = sum(side[x] << x for x in range(n))
-        u, v, lo = top(near, u_side), top(near, full ^ u_side), min_w[e]
-        if u_leaf:  # a = 0 (and w > 0 unless v is a leaf too)
-            root = merge(u, _shift(v, lo if v_leaf else max(lo, 1), max_w,
+    edges = _hang(tuple(map(tuple, paths)))[1]
+    at: dict[int, set] = {}  # per edge: the states at its lower end
+    down: dict[int, set] = {}  # the same across the edge, weight in
+    for e, leaf, kids in edges:
+        at[e] = reduce(merge, [down[c] for c in kids]) if kids else {(0, leaf)}
+        down[e] = _shift(at[e], min_w[e], max_w, n, keep)
+    masks: set[int] = set()
+    up = {0: {(0, 1)}}  # per edge: the states at its upper end
+    for e, leaf, kids in reversed(edges):
+        u, v, lo = up.pop(e), at.pop(e), min_w[e]
+        if kids:  # an interior lower end: its own root, and each child's up
+            above = _shift(u, lo, max_w, n, keep)
+            masks.update(m for m, _ in merge(above, v))
+            for c in kids:
+                up[c] = reduce(merge, [down[s] for s in kids if s != c], above)
+        if e == 0:  # a = 0 at leaf 0 (and w > 0 unless v is a leaf too)
+            root = merge(u, _shift(v, lo if leaf else max(lo, 1), max_w,
                                    n, keep))
             masks.update(m for m, _ in root)
-        if v_leaf:  # a = w > 0
+        if leaf:  # a = w > 0
             root = merge(_shift(u, max(lo, 1), max_w, n, keep), v)
             masks.update(m for m, _ in root)
         if max_w >= 2:  # 0 < a < w: no leaf at depth 0, no arc added

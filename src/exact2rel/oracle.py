@@ -5,18 +5,20 @@ The oracle covers every tree shape with up to 7 named leaves, every
 weight assignment within a budget, and (for the rooted questions) every
 root placement, recording which graphs arise.  It deliberately shares no
 code with the recognition pipeline: graphs are handled as bitmasks over
-vertex pairs, the kernels in ``_kernel`` sum weights over flat edge-index
-lists, and isomorphism reduction is a minimum over all vertex
-permutations, taken once per orbit and read from per-permutation
-tables (``_columns``); as it closes over relabelings, the
-explainable sets call their kernel once per unlabeled shape.  What a
-kernel needs of a shape is prepared once per process, per leaf count:
-the unlabeled shapes for the explainable sets, the labeled topologies
-for ``all_witnesses``, which assembles each witness from its topology's
-edges and weights without re-validating the tree.  ``all_witnesses``
-searches no topology in which two leaves on one vertex have neighbour
-sets in the target that differ but meet; that rule is a fact about
-distances in trees, and it reads no code of the recognizer.
+vertex pairs, the kernels in ``_kernel`` read each shape as flat
+edge-index lists hung from leaf 0 (the rooted kernel reroots that
+hanging at every root placement), and isomorphism reduction is a
+minimum over all vertex permutations, taken once per orbit and read
+from per-permutation tables (``_columns``); as it closes over
+relabelings, the explainable sets call their kernel once per unlabeled
+shape.  What a kernel needs of a shape is prepared once per process,
+per leaf count: the unlabeled shapes for the explainable sets, the
+labeled topologies for ``all_witnesses``, which assembles each witness
+from its topology's edges and weights without re-validating the tree.
+``all_witnesses`` searches no topology in which two leaves on one
+vertex have neighbour sets in the target that differ but meet; that
+rule is a fact about distances in trees, and it reads no code of the
+recognizer.
 """
 
 from __future__ import annotations
@@ -134,7 +136,9 @@ class _Shape:
     """A topology as the kernels read it.  Its edges are numbered
     breadth-first from leaf 0, each as (upper end, lower end), so the
     path of pair p = (0, j), ``paths[j - 1]``, is strictly increasing;
-    pairs are numbered in ``combinations(range(n), 2)`` order."""
+    pairs are numbered in ``combinations(range(n), 2)`` order.  All
+    three kernels read the shape off ``paths``, hung from leaf 0; the
+    rooted kernel reroots that hanging at every root placement."""
 
     edges: tuple[tuple[int, int], ...]
     # per vertex, (neighbour, edge index) in the topology's own order
@@ -142,9 +146,6 @@ class _Shape:
     paths: tuple[tuple[int, ...], ...]
     min_w_canonical: tuple[int, ...]
     min_w_free: tuple[int, ...]
-    interior_roots: tuple[tuple[tuple[int, ...], ...], ...]
-    edge_roots: tuple[tuple[bool, bool, tuple[int, ...],
-                            tuple[tuple[int, ...], ...]], ...]
 
 
 def _prepare(t: LabeledTree) -> _Shape:
@@ -179,18 +180,8 @@ def _prepare(t: LabeledTree) -> _Shape:
     is_leaf = [len(t.adj[v]) <= 1 for v in range(t.nv)]
     min_w_canonical = tuple(0 if is_leaf[u] or is_leaf[v] else 1
                             for u, v in edges)
-
-    interior_roots = tuple(tuple(from_leaf[x][r] for x in range(n))
-                           for r in t.interior_vertices())
-    edge_roots = []
-    for i, (u, v) in enumerate(edges):
-        side = tuple(1 if i not in from_leaf[x][u] else 0 for x in range(n))
-        # a leaf is on the u side exactly when its path to u avoids (u,v)
-        near = tuple(from_leaf[x][u] if side[x] else from_leaf[x][v]
-                     for x in range(n))
-        edge_roots.append((is_leaf[u], is_leaf[v], side, near))
     return _Shape(edges, tuple(map(tuple, adj_e)), paths, min_w_canonical,
-                  (0,) * len(edges), interior_roots, tuple(edge_roots))
+                  (0,) * len(edges))
 
 
 @cache
@@ -494,21 +485,17 @@ def rooted_explainable_set(budget: EnumerationBudget,
                            k: int) -> RootedExplainableSet:
     """Every oriented graph realizable as a level-``k`` directed relation
     of a rooted tree within budget, the root at each interior vertex or
-    at each split of an edge into two non-negative parts.  A single leaf
-    below the root gives the 1-vertex empty relation, recorded specially.
-    """
+    at each split of an edge into two non-negative parts."""
     budget.validate(k)
     W = budget.resolve_weight(k)
-    out: dict[int, frozenset[int]] = {1: frozenset({0})}
-    for n in range(2, budget.max_leaves + 1):
+    out: dict[int, frozenset[int]] = {}
+    for n in range(1, budget.max_leaves + 1):
         acc: set[int] = set()
         for shape in _shapes(n):
             min_w = (shape.min_w_canonical if budget.canonical_only
                      else shape.min_w_free)
             acc |= enumerate_rooted_arc_masks(
-                n, [], shape.paths, min_w, W, k,
-                budget.zero_discrete_only, shape.interior_roots,
-                shape.edge_roots)
+                n, [], shape.paths, min_w, W, k, budget.zero_discrete_only)
         out[n] = frozenset(_orbit_minima(acc, _arc_columns(n)))
     return RootedExplainableSet(k, budget, out)
 
@@ -527,7 +514,6 @@ class CharacterizationReport:
     budget: EnumerationBudget
     counts: dict[tuple[str, int], tuple[int, int]]
     discrepancies: list[tuple[str, int, int, bool, bool]]
-    oriented_cap: int | None
     non_members: dict[int, list[int]]
 
     @property
@@ -599,7 +585,6 @@ def check_characterization(budget: EnumerationBudget,
                 discrepancies.append(("graph", n, mask, member, predicted))
         counts[("graph", n)] = (len(classes), member_count)
 
-    oriented_cap = None
     if k == 2:
         oriented_cap = min(budget.max_leaves, 4)
         rbudget = EnumerationBudget(oriented_cap, budget.max_weight,
@@ -619,7 +604,7 @@ def check_characterization(budget: EnumerationBudget,
             counts[("oriented", n)] = (len(classes), member_count)
 
     return CharacterizationReport(k, budget, counts, discrepancies,
-                                  oriented_cap, non_members)
+                                  non_members)
 
 
 def format_report(report: CharacterizationReport) -> str:

@@ -650,6 +650,44 @@ def previous_rooted_arc_masks(
     return masks
 
 
+def root_placements(t, sh):
+    """``(interior_roots, edge_roots)`` of topology ``t`` over the edge
+    numbering of its prepared shape ``sh``, the root placements that
+    ``reference_rooted_arc_masks`` and ``previous_rooted_arc_masks``
+    read: ``interior_roots[r][x]`` lists the edges from leaf x to
+    interior vertex r; ``edge_roots[e]`` is ``(u_is_leaf, v_is_leaf,
+    side, near)`` for edge e = (u, v), ``side[x]`` 1 for leaves on the u
+    side, ``near[x]`` the edges from x to its near endpoint."""
+    leaves = [t.vertex_of(s) for s in t.leaf_names]
+    n = len(leaves)
+    edges, adj_e = sh.edges, sh.nbrs
+
+    def paths_from(src):
+        path = [None] * t.nv
+        path[src] = ()
+        stack = [src]
+        while stack:
+            x = stack.pop()
+            for y, e in adj_e[x]:
+                if path[y] is None:
+                    path[y] = path[x] + (e,)
+                    stack.append(y)
+        return path
+
+    from_leaf = [paths_from(v) for v in leaves]
+    is_leaf = [len(t.adj[v]) <= 1 for v in range(t.nv)]
+    interior_roots = tuple(tuple(from_leaf[x][r] for x in range(n))
+                           for r in t.interior_vertices())
+    edge_roots = []
+    for i, (u, v) in enumerate(edges):
+        side = tuple(1 if i not in from_leaf[x][u] else 0 for x in range(n))
+        # a leaf is on the u side exactly when its path to u avoids (u,v)
+        near = tuple(from_leaf[x][u] if side[x] else from_leaf[x][v]
+                     for x in range(n))
+        edge_roots.append((is_leaf[u], is_leaf[v], side, near))
+    return interior_roots, tuple(edge_roots)
+
+
 def pair_index_of(n):
     """``pair_index[x][y]``: the number of the pair {x, y} in
     ``combinations(range(n), 2)`` order, for x != y."""
@@ -762,8 +800,7 @@ def reference_explainable_masks(budget, k, rooted=False):
             if rooted:
                 acc |= enumerate_rooted_arc_masks(
                     n, pair_index_of(n), sh.paths, min_w, W, k,
-                    budget.zero_discrete_only, sh.interior_roots,
-                    sh.edge_roots)
+                    budget.zero_discrete_only)
             else:
                 acc |= enumerate_relation_masks(
                     len(sh.paths), sh.paths, min_w, W, k,

@@ -12,9 +12,10 @@ pruned kernels must return exactly what they return, lists in the same
 order, on every labeled topology with up to five leaves.  Where the
 odometers are too slow (six leaves for the mask kernels), the kernels
 must equal the ones their rewrite replaced, kept in ``conftest`` as
-``previous_relation_masks`` and ``previous_rooted_arc_masks``.  Both
-undirected kernels read the edge numbering of ``oracle._prepare``,
-which has its own gate here.
+``previous_relation_masks`` and ``previous_rooted_arc_masks``.  All
+three kernels read the edge numbering of ``oracle._prepare``, which has
+its own gate here; the rooted references take their root placements
+from ``conftest.root_placements``.
 """
 
 from itertools import chain, product
@@ -25,7 +26,7 @@ from conftest import (_tree_with_weights, pair_index_of,
                       previous_relation_masks, previous_rooted_arc_masks,
                       reference_configurations,
                       reference_matching_weightings,
-                      reference_rooted_arc_masks)
+                      reference_rooted_arc_masks, root_placements)
 from exact2rel._kernel import (enumerate_relation_masks,
                                enumerate_rooted_arc_masks, matching_weightings)
 from exact2rel.oracle import (_prepare, enumerate_topologies, graph_to_mask,
@@ -120,6 +121,24 @@ def test_pruned_kernels_equal_the_odometer(k):
                         == by_mask.get(target, []))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weightings_above_k_plus_one_equal_the_odometer(k):
+    """Every shape with 1-4 leaves at caps k+2 and k+3, in every
+    configuration and for every target: the search, which caps the
+    weights at k + 1 and widens each k + 1 it found to the larger
+    weights, gives the odometer's lists in the same order."""
+    for topo, sh in shapes(range(1, 5)):
+        n_pairs = len(sh.paths)
+        for max_w in (k + 2, k + 3):
+            for min_w, zero_discrete, by_mask in reference_configurations(
+                    n_pairs, sh.paths, sh.min_w_canonical, sh.min_w_free,
+                    max_w, k):
+                for target in range(1 << n_pairs):
+                    assert matching_weightings(
+                        n_pairs, sh.paths, min_w, max_w, k, zero_discrete,
+                        target) == by_mask.get(target, [])
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_one_odometer_walk_gives_every_configuration(k):
     """Every shape with 1-4 leaves: each configuration derived from the
@@ -145,8 +164,7 @@ def test_rooted_arc_masks_follow_directed_explain(k, max_leaves):
             expected = set().union(*(masks for _, masks in admitted))
             assert enumerate_rooted_arc_masks(
                 topo.n_leaves, pair_index_of(topo.n_leaves), sh.paths, min_w,
-                k + 1, k, zero_discrete, sh.interior_roots,
-                sh.edge_roots) == expected
+                k + 1, k, zero_discrete) == expected
 
 
 def odometer_agrees(topo, sh, k, max_w):
@@ -157,12 +175,11 @@ def odometer_agrees(topo, sh, k, max_w):
     pair_index = pair_index_of(n)
     expected = reference_rooted_arc_masks(
         n, pair_index, sh.paths, sh.min_w_canonical, max_w, k,
-        sh.interior_roots, sh.edge_roots)
+        *root_placements(topo, sh))
     for (canonical, zero_discrete), masks in expected.items():
         min_w = sh.min_w_canonical if canonical else sh.min_w_free
         assert enumerate_rooted_arc_masks(
-            n, pair_index, sh.paths, min_w, max_w, k, zero_discrete,
-            sh.interior_roots, sh.edge_roots) == masks
+            n, pair_index, sh.paths, min_w, max_w, k, zero_discrete) == masks
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -204,11 +221,12 @@ def test_rooted_kernel_equals_the_previous_kernel_at_six_leaves():
     k = 2
     for topo in unlabeled_shapes(6):
         sh = _prepare(topo)
+        roots = root_placements(topo, sh)
         for min_w, zero_discrete in configurations_of(sh):
             args = (6, pair_index_of(6), sh.paths, min_w, k + 1, k,
-                    zero_discrete, sh.interior_roots, sh.edge_roots)
+                    zero_discrete)
             assert (enumerate_rooted_arc_masks(*args)
-                    == previous_rooted_arc_masks(*args))
+                    == previous_rooted_arc_masks(*args, *roots))
 
 
 def test_relation_kernel_equals_the_previous_kernel_at_six_leaves():
@@ -229,7 +247,7 @@ def test_edges_are_numbered_breadth_first_from_leaf_0():
     """Every labeled topology with 1-6 leaves and every unlabeled 7-leaf
     shape: the edges of ``_prepare`` are the tree's, edge 0 touches leaf
     0, each path from leaf 0 is strictly increasing, and edge numbers
-    never decrease with depth from leaf 0.  The relation kernel reads
+    never decrease with depth from leaf 0.  Both mask kernels read
     children first as descending edge numbers, and the weighting search
     gets odometer order from walking the edges last first."""
     topologies = chain(*map(enumerate_topologies, range(1, 7)),

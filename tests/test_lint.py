@@ -1,10 +1,13 @@
-"""Assertions in the tests that cannot fail.
+"""Assertions in the tests that cannot fail, and other slips the
+sources show.
 
 ``assert p.is_discrete`` passes whatever ``p`` holds when ``is_discrete``
 is a method: a bound method is always true.  These tests read the
 sources and flag every ``assert x.name`` or ``assert not x.name`` in
 ``tests/`` whose ``name`` is a zero-argument, undecorated method of a
-class in ``exact2rel``.
+class in ``exact2rel``.  They also flag a field of a package class that
+no ``x.name`` in the package reads, a pause of the cyclic collector
+outside its one helper, and a table built at import.
 """
 
 import ast
@@ -79,6 +82,66 @@ class TwinPartition:
              "assert p.representatives\n")
     assert uncalled(tests, methods) == [(1, "is_discrete"),
                                         (2, "is_discrete")]
+
+
+# ----------------------------------------------------------------------
+# no field that nothing reads
+# ----------------------------------------------------------------------
+
+def declared_fields(source):
+    """(line, class, name) of each annotated field and each
+    ``__slots__`` entry of every class in ``source``."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    out.append((node.lineno, cls.name, node.target.id))
+                elif (isinstance(node, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                              for t in node.targets)):
+                    out += [(node.lineno, cls.name, c.value)
+                            for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant)
+                            and isinstance(c.value, str)]
+    return out
+
+
+def attributes_read(source):
+    """The names read as ``x.name`` anywhere in ``source``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_field_is_read():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    read = set().union(*map(attributes_read, sources))
+    fields = [f for source in sources for f in declared_fields(source)]
+    assert ("_Labeled", "siblings") in {(c, name) for _, c, name in fields}
+    assert [f for f in fields if f[2] not in read] == []
+
+
+def test_the_lint_flags_an_unread_field():
+    source = '''
+class Report:
+    k: int
+    cap: int | None
+    total = 0
+
+
+class Tree:
+    __slots__ = ("adj", "_form")
+
+    def key(self):
+        self.cap = 1
+        return self.k, self._form
+'''
+    read = attributes_read(source)
+    assert read == {"k", "_form"}
+    assert [f for f in declared_fields(source) if f[2] not in read] == [
+        (4, "Report", "cap"), (9, "Tree", "adj")]
 
 
 # ----------------------------------------------------------------------

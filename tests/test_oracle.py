@@ -234,6 +234,18 @@ def test_a_huge_weight_cap_gives_the_counts_of_cap_four():
     assert huge.non_members == small.non_members
 
 
+def test_a_non_member_at_a_huge_cap_has_no_witness_at_once():
+    """C5 plus an isolated vertex has no witness at any cap, and the
+    search caps the weights at k + 1 and widens only the weightings it
+    found, so a cap of 10^9 costs what the default cap does (the isolated leaf's edge used
+    to try each weight up to the cap)."""
+    g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert all_witnesses(g, EnumerationBudget(6), 2) == []
+    start = time.perf_counter()
+    assert all_witnesses(g, EnumerationBudget(6, max_weight=10**9), 2) == []
+    assert time.perf_counter() - start < 1
+
+
 def test_explainable_set_is_hereditary():
     es = explainable_set(EnumerationBudget(max_leaves=5), 2)
     rng = random.Random(12)
